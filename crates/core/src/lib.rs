@@ -28,7 +28,7 @@
 //! | [`referee_graph`] | labelled graphs, generators, algorithms, enumeration |
 //! | [`referee_protocol`] | the model: messages, `OneRoundProtocol`, simulator, frugality audits, multi-round extension |
 //! | [`referee_degeneracy`] | Theorem 5 (+ forests §III.A, generalized degeneracy) |
-//! | [`referee_simnet`] | sans-I/O session runtime: pluggable transports, fault injection, concurrent scheduler |
+//! | [`referee_simnet`] | sans-I/O session runtime: one session engine (one-round is a 1-round run, monolithic is k = 1 shard), pluggable transports, fault injection, concurrent scheduler |
 //! | [`referee_wirenet`] | real-socket reactor: multiplexed, MAC-authenticated wire frames for simnet fleets |
 //! | [`referee_reductions`] | Theorems 1–3 as executable reductions, Lemma 1 counting, collision witnesses, §IV bipartiteness reduction |
 //! | this crate | prelude, high-level helpers, §IV partition-connectivity |

@@ -83,6 +83,57 @@ pub trait MultiRoundProtocol {
     );
 }
 
+/// Blanket impl so `&P` is a protocol wherever `P` is (lets a runtime
+/// own its protocol handle whether it was handed a borrow or an adapter
+/// value).
+impl<P: MultiRoundProtocol + ?Sized> MultiRoundProtocol for &P {
+    type Output = P::Output;
+    type NodeState = P::NodeState;
+    type RefereeState = P::RefereeState;
+
+    fn name(&self) -> String {
+        (**self).name()
+    }
+
+    fn node_init(&self, view: NodeView<'_>) -> Self::NodeState {
+        (**self).node_init(view)
+    }
+
+    fn referee_init(&self, n: usize) -> Self::RefereeState {
+        (**self).referee_init(n)
+    }
+
+    fn node_send(
+        &self,
+        state: &Self::NodeState,
+        view: NodeView<'_>,
+        round: usize,
+    ) -> (Vec<(VertexId, Message)>, Message) {
+        (**self).node_send(state, view, round)
+    }
+
+    fn referee_step(
+        &self,
+        state: &mut Self::RefereeState,
+        n: usize,
+        round: usize,
+        uplinks: &[Message],
+    ) -> RefereeStep<Self::Output> {
+        (**self).referee_step(state, n, round, uplinks)
+    }
+
+    fn node_receive(
+        &self,
+        state: &mut Self::NodeState,
+        view: NodeView<'_>,
+        round: usize,
+        from_neighbours: &[(VertexId, Message)],
+        from_referee: &Message,
+    ) {
+        (**self).node_receive(state, view, round, from_neighbours, from_referee)
+    }
+}
+
 /// Per-run measurements of a multi-round execution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiRoundStats {

@@ -174,9 +174,8 @@ where
 /// sender, else smallest missing node. Canonicality is bought by
 /// ingesting the *whole* stream before judging (the old code failed on
 /// the first fault in arrival order, which no sharded assembly can
-/// reproduce); faulty streams cost a full pass, honest ones an ordered
-/// map instead of a flat vector — both invisible next to the protocol
-/// work they feed.
+/// reproduce); faulty streams cost a full pass — invisible next to the
+/// protocol work they feed.
 pub fn assemble_from_arrivals(
     n: usize,
     arrivals: impl IntoIterator<Item = (referee_graph::VertexId, Message)>,
@@ -190,7 +189,7 @@ pub fn assemble_from_arrivals(
             shard.note_duplicate(sender);
         }
     }
-    shard.into_partial().finish()
+    shard.finish()
 }
 
 /// Run a protocol with messages delivered in an arbitrary order

@@ -57,7 +57,7 @@ pub mod multiround;
 pub mod placement;
 pub mod replay;
 
-use crate::{DecodeError, Message};
+use crate::{BitReader, BitWriter, DecodeError, Message};
 use referee_graph::VertexId;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -295,7 +295,14 @@ impl PartialState {
     /// arrival in ascending sender order: sender:32, payload bit
     /// length:32, payload bits.
     pub fn encode(&self) -> Message {
-        let mut w = crate::BitWriter::new();
+        let mut w = BitWriter::new();
+        self.encode_into(&mut w);
+        Message::from_writer(w)
+    }
+
+    /// Append the [`encode`](PartialState::encode) layout to `w` (for
+    /// codecs that embed a partial, without an intermediate copy).
+    pub(crate) fn encode_into(&self, w: &mut BitWriter) {
         w.write_bits(self.n as u64, 32);
         match self.oor_min {
             Some(v) => {
@@ -315,9 +322,8 @@ impl PartialState {
         for (sender, msg) in &self.slots {
             w.write_bits(*sender as u64, 32);
             w.write_bits(msg.len_bits() as u64, 32);
-            msg.append_to(&mut w);
+            msg.append_to(w);
         }
-        Message::from_writer(w)
     }
 
     /// Deserialize a summary produced by [`encode`](PartialState::encode),
@@ -326,7 +332,15 @@ impl PartialState {
     /// range, and the bit stream must end exactly at the last payload —
     /// anything else (including any truncation) is a [`DecodeError`].
     pub fn decode(expected_n: usize, msg: &Message) -> Result<PartialState, DecodeError> {
-        let mut r = msg.reader();
+        PartialState::decode_rest(expected_n, &mut msg.reader())
+    }
+
+    /// [`decode`](PartialState::decode) the rest of `r` (for codecs that
+    /// embed a partial after a header of their own).
+    pub(crate) fn decode_rest(
+        expected_n: usize,
+        r: &mut BitReader<'_>,
+    ) -> Result<PartialState, DecodeError> {
         let n = r.read_bits(32)? as usize;
         if n != expected_n {
             return Err(DecodeError::Inconsistent(format!(
@@ -367,7 +381,7 @@ impl PartialState {
             if r.remaining() < len_bits {
                 return Err(DecodeError::Truncated);
             }
-            let mut w = crate::BitWriter::new();
+            let mut w = BitWriter::new();
             r.copy_bits_into(&mut w, len_bits)?;
             slots.insert(sender, Message::from_writer(w));
         }
@@ -388,16 +402,23 @@ pub struct RefereeShard {
     index: usize,
     shards: usize,
     range: ShardRange,
+    /// Recorded messages, indexed by sender offset into `range`.
+    slots: Vec<Option<Message>>,
+    filled: usize,
+    /// Fault markers; its own slots stay empty until `into_partial`.
     state: PartialState,
 }
 
 impl RefereeShard {
     /// Shard `index` of `shards` over a size-`n` network.
     pub fn new(n: usize, shards: usize, index: usize) -> RefereeShard {
+        let range = shard_range(n, shards, index);
         RefereeShard {
             index,
             shards,
-            range: shard_range(n, shards, index),
+            range,
+            slots: vec![None; range.len()],
+            filled: 0,
             state: PartialState::new(n),
         }
     }
@@ -420,7 +441,7 @@ impl RefereeShard {
     /// Whether every node in the shard's range has a recorded message
     /// (trivially true for empty ranges).
     pub fn is_complete(&self) -> bool {
-        self.state.arrivals() == self.range.len()
+        self.filled == self.range.len()
     }
 
     /// Whether a fault has been recorded — the eventual verdict is
@@ -432,7 +453,10 @@ impl RefereeShard {
 
     /// The recorded message of `sender`, if any.
     pub fn message_for(&self, sender: VertexId) -> Option<&Message> {
-        self.state.slots.get(&sender)
+        if !self.range.contains(sender) {
+            return None;
+        }
+        self.slots[(sender - self.range.lo) as usize].as_ref()
     }
 
     /// Absorb one arrival, classifying it (the caller picks the
@@ -454,12 +478,13 @@ impl RefereeShard {
                 self.index, self.shards, self.range
             )));
         }
-        match self.state.slots.entry(sender) {
-            Entry::Vacant(e) => {
-                e.insert(payload);
+        match &mut self.slots[(sender - self.range.lo) as usize] {
+            Some(existing) => Ok(Arrival::Duplicate { identical: *existing == payload }),
+            slot => {
+                *slot = Some(payload);
+                self.filled += 1;
                 Ok(Arrival::Fresh)
             }
-            Entry::Occupied(e) => Ok(Arrival::Duplicate { identical: *e.get() == payload }),
         }
     }
 
@@ -469,9 +494,25 @@ impl RefereeShard {
         self.state.note_duplicate(sender);
     }
 
+    /// The verdict of this shard alone — `self.into_partial().finish()`,
+    /// without building the summary when the shard holds the whole
+    /// network's messages (the one-shard referee's case).
+    pub(crate) fn finish(self) -> Result<Vec<Message>, DecodeError> {
+        if self.filled != self.state.n || self.state.poisoned() {
+            return self.into_partial().finish();
+        }
+        Ok(self.slots.into_iter().map(|slot| slot.expect("every node recorded")).collect())
+    }
+
     /// The shard's summary, ready to exchange and merge.
     pub fn into_partial(self) -> PartialState {
-        self.state
+        let lo = self.range.lo;
+        let mut state = self.state;
+        state.slots = (lo..)
+            .zip(self.slots)
+            .filter_map(|(sender, slot)| slot.map(|msg| (sender, msg)))
+            .collect();
+        state
     }
 }
 
@@ -525,6 +566,22 @@ mod tests {
         assert!(shard.is_complete());
         let messages = shard.into_partial().finish().unwrap();
         assert_eq!(messages, vec![msg(1, 8), msg(2, 8), msg(3, 8)]);
+    }
+
+    #[test]
+    fn shard_finish_equals_partial_finish() {
+        // Complete, complete-but-poisoned, and incomplete shards.
+        let mut complete = RefereeShard::new(3, 1, 0);
+        for v in [3u32, 1, 2] {
+            complete.ingest(v, msg(v as u64, 8)).unwrap();
+        }
+        let mut poisoned = complete.clone();
+        poisoned.note_duplicate(2);
+        let mut partial = RefereeShard::new(3, 1, 0);
+        partial.ingest(2, msg(2, 8)).unwrap();
+        for s in [complete, poisoned, partial] {
+            assert_eq!(s.clone().finish(), s.into_partial().finish());
+        }
     }
 
     #[test]

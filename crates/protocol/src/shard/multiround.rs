@@ -95,6 +95,13 @@ impl RoundShard {
     pub fn into_partial(self) -> RoundPartialState {
         RoundPartialState { round: self.round, inner: self.inner.into_partial() }
     }
+
+    /// This shard's round verdict alone — `self.into_partial().finish()`,
+    /// without building the summary when the shard holds every node's
+    /// uplink (the one-shard referee's case).
+    pub fn finish(self) -> Result<Vec<Message>, DecodeError> {
+        self.inner.finish()
+    }
 }
 
 /// A mergeable, serializable summary of one round's uplinks, as absorbed
@@ -169,7 +176,7 @@ impl RoundPartialState {
     pub fn encode(&self) -> Message {
         let mut w = crate::BitWriter::new();
         w.write_bits(self.round as u64, 32);
-        self.inner.encode().append_to(&mut w);
+        self.inner.encode_into(&mut w);
         Message::from_writer(w)
     }
 
@@ -180,9 +187,7 @@ impl RoundPartialState {
     pub fn decode(expected_n: usize, msg: &Message) -> Result<RoundPartialState, DecodeError> {
         let mut r = msg.reader();
         let round = r.read_bits(32)? as u32;
-        let mut w = crate::BitWriter::new();
-        r.copy_bits_into(&mut w, r.remaining())?;
-        let inner = PartialState::decode(expected_n, &Message::from_writer(w))?;
+        let inner = PartialState::decode_rest(expected_n, &mut r)?;
         Ok(RoundPartialState { round, inner })
     }
 }

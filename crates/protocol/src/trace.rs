@@ -394,14 +394,49 @@ impl TraceSnapshot {
     }
 
     /// Set-union `other` into `self` (commutative, associative,
-    /// idempotent — pinned by property tests).
+    /// idempotent — pinned by property tests) in one linear merge of the
+    /// two canonically ordered runs.
     pub fn merge(&mut self, other: &TraceSnapshot) {
         if other.events.is_empty() {
             return;
         }
-        self.events.extend_from_slice(&other.events);
-        self.events.sort_unstable_by_key(TraceEvent::key);
-        self.events.dedup();
+        let (ours, theirs) = (std::mem::take(&mut self.events), &other.events);
+        let mut merged = Vec::with_capacity(ours.len() + theirs.len());
+        let (mut i, mut j) = (0, 0);
+        while i < ours.len() && j < theirs.len() {
+            match ours[i].key().cmp(&theirs[j].key()) {
+                std::cmp::Ordering::Less => {
+                    merged.push(ours[i]);
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    merged.push(theirs[j]);
+                    j += 1;
+                }
+                // The key covers every field: equal keys are one event.
+                std::cmp::Ordering::Equal => {
+                    merged.push(ours[i]);
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        merged.extend_from_slice(&ours[i..]);
+        merged.extend_from_slice(&theirs[j..]);
+        self.events = merged;
+    }
+
+    /// Keep only the `cap` newest events by `ts_us` (ties broken by the
+    /// canonical order), dropping the oldest — the bound on a timeline
+    /// that keeps absorbing segments.
+    pub fn retain_newest(&mut self, cap: usize) {
+        let excess = self.events.len().saturating_sub(cap);
+        if excess == 0 {
+            return;
+        }
+        let mut ages: Vec<_> = self.events.iter().map(|e| (e.ts_us, e.key())).collect();
+        let (_, &mut cut, _) = ages.select_nth_unstable(excess - 1);
+        self.events.retain(|e| (e.ts_us, e.key()) > cut);
     }
 
     /// Canonical wire form. Layout: `gamma(count+1)`, then per event

@@ -31,11 +31,11 @@
 //!   without signed acknowledgements, so those failures yield no
 //!   bundle — and accuse nobody.
 //!
-//! Referee-internal traffic (the sharded session's round-2 partial
-//! exchange) is deliberately **not** signed into the transcript: it is
-//! the referee talking to itself, and recording it under party keys
-//! would let an accuser re-cut legitimate exchange envelopes as
-//! wrong-round "proofs" against honest principals.
+//! Referee-internal traffic (a sharded session's cross-shard exchange,
+//! addressed to [`EXCHANGE`](crate::EXCHANGE)) is deliberately **not**
+//! signed into the transcript: it is the referee talking to itself, and
+//! recording it under party keys would let an accuser re-cut legitimate
+//! exchange envelopes as "proofs" against honest principals.
 
 use crate::metrics::TransportCounters;
 use crate::transport::{Envelope, Transport, REFEREE};
@@ -449,7 +449,7 @@ impl<T: Transport> Transport for Misbehaving<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::ShardedOneRoundSession;
+    use crate::session::OneRoundSession;
     use crate::transport::{PerfectTransport, SessionId};
     use referee_graph::generators;
     use referee_protocol::easy::EdgeCountProtocol;
@@ -476,7 +476,8 @@ mod tests {
         let params = SessionParams { session: 77, n: g.n() as u32, round_cap: 1 };
         let base = key(cfg.seed);
         let mut t = Misbehaving::new(PerfectTransport::new(), cfg, mask, base, params);
-        let report = ShardedOneRoundSession::new(&EdgeCountProtocol, &g, k)
+        let report = OneRoundSession::new(&EdgeCountProtocol, &g)
+            .with_shards(k)
             .with_session(SessionId(params.session))
             .run(&mut t);
         (report.outcome, t.prosecute(), t.injections(), base, params)
@@ -536,14 +537,15 @@ mod tests {
     fn exchange_partials_are_never_signed() {
         // With every node byzantine and all provable actions armed, the
         // transcript must still contain only round-1-origin records
-        // signed under party paths — no record of the round-2 partial
-        // exchange (which would be frameable as "wrong round").
+        // signed under party paths — no record of the partial exchange
+        // (which would be frameable as misbehaviour).
         let g = generators::grid(2, 3);
         let params = SessionParams { session: 9, n: g.n() as u32, round_cap: 1 };
         let cfg = ByzantineConfig { byzantine: 1.0, ..ByzantineConfig::provable(5) };
         let mask = cfg.sample_mask(g.n());
         let mut t = Misbehaving::new(PerfectTransport::new(), cfg, mask, key(5), params);
-        let _ = ShardedOneRoundSession::new(&EdgeCountProtocol, &g, 3)
+        let _ = OneRoundSession::new(&EdgeCountProtocol, &g)
+            .with_shards(3)
             .with_session(SessionId(params.session))
             .run(&mut t);
         for rec in t.transcript() {

@@ -10,10 +10,11 @@
 //! survive — loss, duplication, reordering, corruption, and the cost of
 //! driving thousands of concurrent runs. This crate closes that gap:
 //!
-//! * [`session`] — [`OneRoundSession`] and [`MultiRoundSession`] execute
-//!   protocols as explicit state machines with a poll-style
-//!   [`step()`](OneRoundSession::step) API. No threads, sockets or clocks
-//!   are baked in; every message crosses a [`Transport`].
+//! * [`session`] — the one session engine, [`Session`]: a pollable
+//!   state machine with a [`step()`](Session::step) API. No threads,
+//!   sockets or clocks are baked in; every message crosses a
+//!   [`Transport`]. [`OneRoundSession`] and [`MultiRoundSession`] are its
+//!   two faces (see [One engine](#one-engine) below).
 //! * [`transport`] — the [`Transport`] trait and the in-memory
 //!   [`PerfectTransport`]. Envelopes are session-tagged ([`SessionId`]
 //!   — the multiplexing key `wirenet` uses to carry whole fleets over a
@@ -28,15 +29,9 @@
 //!   corruption. Corruption feeds the *existing*
 //!   [`DecodeError`](referee_protocol::DecodeError) rejection paths:
 //!   the decoders are the integrity layer, the runtime adds no oracle.
-//! * [`shard`] — [`ShardedOneRoundSession`]: the referee's mailbox split
-//!   across mergeable [`RefereeShard`](referee_protocol::shard::RefereeShard)s
-//!   whose [`PartialState`](referee_protocol::shard::PartialState)
-//!   summaries cross the transport in a seeded exchange phase —
-//!   bit-for-bit equivalent to the unsharded session (pinned by tests).
-//!   [`ShardedMultiRoundSession`] extends the split to multi-round
-//!   protocols: every round's uplinks route into `k` per-round shards
-//!   whose [`RoundPartialState`](referee_protocol::shard::multiround::RoundPartialState)s
-//!   cross the transport before each `referee_step`.
+//! * [`byzantine`] — [`Misbehaving`], a decorator that signs node
+//!   uplinks into a MAC'd transcript and makes seeded byzantine nodes
+//!   misbehave, for the evidence harness.
 //! * [`placement`] — [`PlacementSim`]: a sans-I/O, seeded model of
 //!   cross-host shard placement under host loss — kills wipe volatile
 //!   shard state, journal replay rebuilds it — pinned to produce the
@@ -49,6 +44,29 @@
 //! * [`metrics`] — [`SessionMetrics`] (a superset of the legacy
 //!   [`RunStats`](referee_protocol::RunStats): delivery counters and
 //!   round latencies) and the fleet-level [`AggregateMetrics`].
+//!
+//! # One engine
+//!
+//! simnet writes the per-session logic once. The engine runs a
+//! multi-round protocol round by round, with the referee's wait split
+//! over `k ≥ 1` mergeable shards ([`with_shards`](Session::with_shards)):
+//!
+//! * **One-round is a 1-round run.** [`OneRoundSession`] drives
+//!   [`OneRoundAsMultiRound`](referee_protocol::OneRoundAsMultiRound)
+//!   with a round cap of 1 and reports the one-round
+//!   `Result<O, DecodeError>` shape.
+//! * **Monolithic is k = 1.** The single shard's uplink vector goes
+//!   straight to `referee_step`; no partial crosses the transport.
+//! * **Sharded is k > 1.** Before every `referee_step`, each shard's
+//!   [`RoundPartialState`](referee_protocol::shard::multiround::RoundPartialState)
+//!   crosses the transport in a seeded order and the partials merge
+//!   into the same uplink vector — bit-for-bit equal to k = 1 (pinned by
+//!   property tests).
+//!
+//! Exchange partials are addressed to [`EXCHANGE`], an address no vertex
+//! ID can take, with `from` naming the shard; node traffic is addressed
+//! by vertex IDs with [`REFEREE`] = 0. A stray sender past `n` is thus an
+//! unknown node for every `k`, never a partial.
 //!
 //! # Relation to the legacy simulators
 //!
@@ -100,7 +118,6 @@ pub mod metrics;
 pub mod placement;
 pub mod scheduler;
 pub mod session;
-pub mod shard;
 pub mod transport;
 
 pub use byzantine::{ByzantineConfig, InjectionCounts, Misbehaving};
@@ -109,10 +126,10 @@ pub use fault::{FaultConfig, FaultyTransport};
 pub use metrics::{AggregateMetrics, SessionMetrics, TransportCounters};
 pub use placement::{PlacementReport, PlacementSim};
 pub use scheduler::{ByzantineReport, MixedLane, MixedReport, Scheduler, SweepReport};
-pub use session::{MultiRoundReport, MultiRoundSession, OneRoundReport, OneRoundSession, Step};
-pub use shard::multiround::{ShardedMultiRoundReport, ShardedMultiRoundSession};
-pub use shard::{ShardedOneRoundSession, ShardedReport};
-pub use transport::{Envelope, PerfectTransport, SessionId, Transport, REFEREE};
+pub use session::{
+    MultiRoundReport, MultiRoundSession, OneRoundReport, OneRoundSession, Session, Step,
+};
+pub use transport::{Envelope, PerfectTransport, SessionId, Transport, EXCHANGE, REFEREE};
 
 use referee_graph::LabelledGraph;
 use referee_protocol::multiround::{MultiRoundProtocol, MultiRoundStats};

@@ -19,8 +19,6 @@ use crate::metrics::AggregateMetrics;
 use crate::session::{
     MultiRoundReport, MultiRoundSession, OneRoundReport, OneRoundSession, Step,
 };
-use crate::shard::multiround::{ShardedMultiRoundReport, ShardedMultiRoundSession};
-use crate::shard::{ShardedOneRoundSession, ShardedReport};
 use crate::transport::{PerfectTransport, SessionId};
 use referee_graph::{LabelledGraph, VertexId};
 use referee_protocol::evidence::{EvidenceBundle, SessionParams};
@@ -139,7 +137,8 @@ impl Scheduler {
 
     /// Run `protocol` once per graph, each session on its own transport
     /// (faulty when `faults` is given, perfect otherwise), interleaving
-    /// sessions within each claimed batch.
+    /// sessions within each claimed batch: the `shards = 1` case of
+    /// [`sweep_one_round_sharded`](Self::sweep_one_round_sharded).
     pub fn sweep_one_round<P>(
         &self,
         protocol: &P,
@@ -150,15 +149,7 @@ impl Scheduler {
         P: OneRoundProtocol + Sync,
         P::Output: Send,
     {
-        self.sweep(graphs.len(), |lo, hi| {
-            let mut lanes: Vec<Option<_>> = (lo..hi)
-                .map(|i| {
-                    let transport = session_transport(faults, i);
-                    Some((OneRoundSession::new(protocol, &graphs[i]), transport))
-                })
-                .collect();
-            drive_interleaved(&mut lanes, |s, t| s.step(t), |s, t| s.into_report(t))
-        })
+        self.sweep_one_round_sharded(protocol, graphs, 1, faults)
     }
 
     /// Like [`sweep_one_round`](Self::sweep_one_round), but every
@@ -172,7 +163,7 @@ impl Scheduler {
         graphs: &[LabelledGraph],
         shards: usize,
         faults: Option<FaultConfig>,
-    ) -> SweepReport<ShardedReport<P::Output>>
+    ) -> SweepReport<OneRoundReport<P::Output>>
     where
         P: OneRoundProtocol + Sync,
         P::Output: Send,
@@ -181,7 +172,8 @@ impl Scheduler {
             let mut lanes: Vec<Option<_>> = (lo..hi)
                 .map(|i| {
                     let transport = session_transport(faults, i);
-                    let session = ShardedOneRoundSession::new(protocol, &graphs[i], shards)
+                    let session = OneRoundSession::new(protocol, &graphs[i])
+                        .with_shards(shards)
                         .with_exchange_seed(lane_seed(0x9aa2_d1b5, i));
                     Some((session, transport))
                 })
@@ -190,7 +182,9 @@ impl Scheduler {
         })
     }
 
-    /// Multi-round analogue of [`sweep_one_round`](Self::sweep_one_round).
+    /// Multi-round analogue of [`sweep_one_round`](Self::sweep_one_round):
+    /// the `shards = 1` case of
+    /// [`sweep_multi_round_sharded`](Self::sweep_multi_round_sharded).
     pub fn sweep_multi_round<P>(
         &self,
         protocol: &P,
@@ -204,15 +198,7 @@ impl Scheduler {
         P::NodeState: Send,
         P::RefereeState: Send,
     {
-        self.sweep(graphs.len(), |lo, hi| {
-            let mut lanes: Vec<Option<_>> = (lo..hi)
-                .map(|i| {
-                    let transport = session_transport(faults, i);
-                    Some((MultiRoundSession::new(protocol, &graphs[i], max_rounds), transport))
-                })
-                .collect();
-            drive_interleaved(&mut lanes, |s, t| s.step(t), |s, t| s.into_report(t))
-        })
+        self.sweep_multi_round_sharded(protocol, graphs, 1, max_rounds, faults)
     }
 
     /// Like [`sweep_multi_round`](Self::sweep_multi_round), but every
@@ -230,7 +216,7 @@ impl Scheduler {
         shards: usize,
         max_rounds: usize,
         faults: Option<FaultConfig>,
-    ) -> SweepReport<ShardedMultiRoundReport<P::Output>>
+    ) -> SweepReport<MultiRoundReport<P::Output>>
     where
         P: MultiRoundProtocol + Sync,
         P::Output: Send,
@@ -241,9 +227,9 @@ impl Scheduler {
             let mut lanes: Vec<Option<_>> = (lo..hi)
                 .map(|i| {
                     let transport = session_transport(faults, i);
-                    let session =
-                        ShardedMultiRoundSession::new(protocol, &graphs[i], shards, max_rounds)
-                            .with_exchange_seed(lane_seed(0x51ab_77ed, i));
+                    let session = MultiRoundSession::new(protocol, &graphs[i], max_rounds)
+                        .with_shards(shards)
+                        .with_exchange_seed(lane_seed(0x51ab_77ed, i));
                     Some((session, transport))
                 })
                 .collect();
@@ -282,7 +268,8 @@ impl Scheduler {
                     let mask = lane_cfg.sample_mask(g.n());
                     let transport =
                         Misbehaving::new(PerfectTransport::new(), lane_cfg, mask, base, params);
-                    let session = ShardedOneRoundSession::new(protocol, g, shards)
+                    let session = OneRoundSession::new(protocol, g)
+                        .with_shards(shards)
                         .with_session(SessionId(params.session))
                         .with_exchange_seed(lane_seed(0x6b79_7a61, i));
                     Some((session, transport))
@@ -517,15 +504,6 @@ impl<O> Report for MultiRoundReport<O> {
     }
 }
 
-impl<O> Report for ShardedReport<O> {
-    fn metrics(&self) -> &crate::metrics::SessionMetrics {
-        &self.metrics
-    }
-    fn is_ok(&self) -> bool {
-        self.outcome.is_ok()
-    }
-}
-
 /// Outcome of one byzantine-sweep lane: the session result plus
 /// everything needed to independently verify (or refute) the evidence
 /// the prosecutor produced.
@@ -552,15 +530,6 @@ pub struct ByzantineReport<O> {
 }
 
 impl<O> Report for ByzantineReport<O> {
-    fn metrics(&self) -> &crate::metrics::SessionMetrics {
-        &self.metrics
-    }
-    fn is_ok(&self) -> bool {
-        self.outcome.is_ok()
-    }
-}
-
-impl<O> Report for ShardedMultiRoundReport<O> {
     fn metrics(&self) -> &crate::metrics::SessionMetrics {
         &self.metrics
     }

@@ -18,6 +18,12 @@ use std::collections::VecDeque;
 /// The referee's address (vertex IDs are `1..=n`, so 0 is free).
 pub const REFEREE: VertexId = 0;
 
+/// The cross-shard exchange's address: a sharded session's partials
+/// travel `to: EXCHANGE` with `from` naming the emitting shard index.
+/// No vertex ID can equal it, so node traffic never reaches the
+/// exchange and exchange traffic never aliases a node.
+pub const EXCHANGE: VertexId = VertexId::MAX;
+
 /// Identifies one session on a shared transport, so a single connection
 /// can carry a whole fleet's envelopes (cross-session multiplexing).
 ///

@@ -160,6 +160,66 @@ proptest! {
             }
         }
     }
+
+    /// Sharded == monolithic: on a lossless network that duplicates and
+    /// reorders, a session split over k shards gives the outcome and
+    /// stats of the k = 1 session and of the reference runners, for
+    /// one-round and multi-round protocols; only k > 1 exchanges
+    /// partials.
+    #[test]
+    fn sharded_sessions_equal_k1_and_the_reference_runners(
+        n in 1usize..40,
+        seed in any::<u64>(),
+        p10 in 0u32..=10,
+        k in 1usize..=8,
+        exchange_seed in any::<u64>(),
+    ) {
+        let g = gnp(n, seed, p10);
+        let network = || {
+            let cfg = FaultConfig {
+                seed: seed ^ 0x5eed,
+                loss: 0.0,
+                duplication: 0.2,
+                reorder: 0.3,
+                corruption: 0.0,
+            };
+            FaultyTransport::new(PerfectTransport::new(), cfg)
+        };
+
+        let reference = referee_protocol::run_protocol(&EdgeCountProtocol, &g);
+        let mono = OneRoundSession::new(&EdgeCountProtocol, &g).run(&mut network());
+        let sharded = OneRoundSession::new(&EdgeCountProtocol, &g)
+            .with_shards(k)
+            .with_exchange_seed(exchange_seed)
+            .run(&mut network());
+        prop_assert_eq!(&sharded.outcome, &mono.outcome);
+        prop_assert_eq!(mono.outcome.expect("nothing was lost"), reference.output);
+        for stats in [&sharded.metrics.stats, &mono.metrics.stats] {
+            prop_assert_eq!(stats.max_message_bits, reference.stats.max_message_bits);
+            prop_assert_eq!(stats.total_message_bits, reference.stats.total_message_bits);
+        }
+        prop_assert_eq!(mono.exchange_bits, 0);
+        prop_assert_eq!(sharded.exchange_bits > 0, k > 1);
+
+        let cap = 64;
+        let (reference, reference_stats) =
+            referee_protocol::multiround::run_multiround(&BoruvkaConnectivity, &g, cap);
+        let mono = MultiRoundSession::new(&BoruvkaConnectivity, &g, cap).run(&mut network());
+        let sharded = MultiRoundSession::new(&BoruvkaConnectivity, &g, cap)
+            .with_shards(k)
+            .with_exchange_seed(exchange_seed)
+            .run(&mut network());
+        prop_assert_eq!(&sharded.outcome, &mono.outcome);
+        prop_assert_eq!(mono.outcome.expect("nothing was lost"), reference);
+        prop_assert_eq!(&sharded.stats, &reference_stats);
+        prop_assert_eq!(&mono.stats, &reference_stats);
+        prop_assert_eq!(
+            sharded.metrics.stats.total_message_bits,
+            mono.metrics.stats.total_message_bits
+        );
+        prop_assert_eq!(mono.exchange_bits, 0);
+        prop_assert_eq!(sharded.exchange_bits > 0, k > 1);
+    }
 }
 
 /// ISSUE acceptance: ≥ 1000 concurrent DegeneracyProtocol sessions in

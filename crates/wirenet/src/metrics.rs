@@ -178,8 +178,9 @@ pub struct WireMetrics {
     recorder: Arc<FlightRecorder>,
     /// Trace segments shipped in from remote endpoints (shard hosts on
     /// `Finish`/`Retire`), stitched with the local ring by
-    /// [`WireMetrics::stitched_trace`]. Only touched at segment-ship
-    /// and post-mortem time, so a mutex is fine here.
+    /// [`WireMetrics::stitched_trace`] and capped at the recorder's
+    /// capacity. Only touched at segment-ship and post-mortem time, so
+    /// a mutex is fine here.
     remote_trace: Mutex<TraceSnapshot>,
     /// Evidence bundles cut (or received) by this endpoint, capped at
     /// `evidence_cap` ([`EVIDENCE_CAP_ENV`]). Violations are rare and
@@ -305,9 +306,14 @@ impl WireMetrics {
 
     /// Fold a trace segment shipped from a remote endpoint (the
     /// coordinator-side half of cross-process trace stitching —
-    /// the trace analogue of [`WireMetrics::absorb_stage`]).
+    /// the trace analogue of [`WireMetrics::absorb_stage`]). The
+    /// absorbed timeline is capped at the local recorder's capacity,
+    /// dropping the oldest events by `ts_us`, so its memory and merge
+    /// cost stay bounded however many sessions the fleet serves.
     pub fn absorb_trace(&self, snap: &TraceSnapshot) {
-        self.remote_trace.lock().expect("remote trace lock").merge(snap);
+        let mut remote = self.remote_trace.lock().expect("remote trace lock");
+        remote.merge(snap);
+        remote.retain_newest(self.recorder.capacity());
     }
 
     /// Log one [`EvidenceBundle`] cut (or received) by this endpoint:
@@ -663,6 +669,24 @@ mod tests {
         // Absorbing the same segment again is idempotent.
         m.absorb_trace(&remote.stitched_trace());
         assert_eq!(m.stitched_trace(), stitched);
+
+        // Ten times the capacity keeps only the newest 16 absorbed
+        // events, and absorbing the flood again changes nothing.
+        let flood = WireMetrics::with_trace_capacity(160);
+        for i in 0..160 {
+            flood.trace(6 + i % 3, trace_endpoint::shard_host(1), TraceKind::PartialEmit, i);
+        }
+        let segment = flood.stitched_trace();
+        assert_eq!(segment.len(), 160);
+        m.absorb_trace(&segment);
+        let capped = m.stitched_trace();
+        let absorbed: Vec<_> =
+            capped.events().iter().filter(|e| e.endpoint != trace_endpoint::SERVER).collect();
+        assert!(absorbed.len() <= 16, "{} absorbed events", absorbed.len());
+        let newest = segment.events().iter().map(|e| e.ts_us).max().unwrap();
+        assert!(absorbed.iter().any(|e| e.ts_us == newest), "the newest event survives");
+        m.absorb_trace(&segment);
+        assert_eq!(m.stitched_trace(), capped);
     }
 
     #[test]
