@@ -232,6 +232,12 @@ impl PartialState {
         p
     }
 
+    /// The message recorded for `sender`, if any — what a late repeat
+    /// of an already-shipped range is compared against.
+    pub fn message_for(&self, sender: VertexId) -> Option<&Message> {
+        self.slots.get(&sender)
+    }
+
     /// Fold `other` into `self`. Commutative and associative up to the
     /// [`finish`](PartialState::finish) verdict: a sender recorded on
     /// both sides is a duplicate (which message survives is immaterial —

@@ -84,6 +84,17 @@ impl RoundShard {
         self.inner.note_duplicate(sender);
     }
 
+    /// Record a fault by `sender` against this round: out of range if
+    /// it is (0 or `> n`), else duplicated — the classification
+    /// [`PartialState::poison_notice`] uses.
+    pub fn note_fault(&mut self, sender: VertexId) {
+        if sender == 0 || sender as usize > self.inner.state.n() {
+            self.inner.state.note_out_of_range(sender);
+        } else {
+            self.inner.note_duplicate(sender);
+        }
+    }
+
     /// The uplink recorded for `sender` this round, if any (what an
     /// accountability layer signs as the original of an equivocation
     /// pair — see [`crate::evidence`]).
@@ -118,6 +129,12 @@ impl RoundPartialState {
         RoundPartialState { round, inner: PartialState::new(n) }
     }
 
+    /// The single-fault summary for round `round`: `sender` out of range
+    /// or duplicated (see [`PartialState::poison_notice`]).
+    pub fn poison_notice(n: usize, round: u32, sender: VertexId) -> RoundPartialState {
+        RoundPartialState { round, inner: PartialState::poison_notice(n, sender) }
+    }
+
     /// The network size this summary is for.
     pub fn n(&self) -> usize {
         self.inner.n()
@@ -136,6 +153,11 @@ impl RoundPartialState {
     /// Whether a fault (out-of-range or duplicated sender) was recorded.
     pub fn poisoned(&self) -> bool {
         self.inner.poisoned()
+    }
+
+    /// The uplink recorded for `sender`, if any.
+    pub fn message_for(&self, sender: VertexId) -> Option<&Message> {
+        self.inner.message_for(sender)
     }
 
     /// Record an out-of-range sender directly (min-tracked).

@@ -14,9 +14,8 @@
 //! The companion wire encoding, [`encode_resume`]/[`decode_resume`],
 //! is the session announcement a coordinator sends a (re)registered
 //! shard host: network size, the round to resume collecting at (1 for a
-//! fresh session), and the session's round cap. One-round shards are
-//! the `resume == 1`, single-round special case; a committed one-round
-//! shard ([`ShardJournal::committed`]) is simply never re-announced.
+//! fresh session), and the session's round cap. A one-round session is
+//! the round-cap-1 case.
 
 use crate::{BitWriter, DecodeError, Message};
 use referee_graph::VertexId;
@@ -29,10 +28,9 @@ pub enum Recorded {
     /// it to the shard host.
     Forward,
     /// The uplink's round is already committed — its partial has
-    /// merged, so the shard host no longer holds that round. The caller
-    /// decides the policy: a one-round service reports the straggler as
-    /// a poison notice (it is by definition a duplicate or stray), a
-    /// multi-round service counts committed history as orphaned.
+    /// merged, so the shard host no longer holds that round. The
+    /// uplink is by definition a duplicate or a stray, which callers
+    /// report as a poison notice for its round.
     Stale,
 }
 

@@ -15,11 +15,15 @@
 //!   returning frames into per-session queues where `recv` picks them
 //!   up. Protocol logic runs unchanged on the client's session state
 //!   machines, every message crossing OS sockets twice.
-//! * **Sharded referee service** ([`FleetServer::spawn_sharded`]): the
-//!   server performs the referee's assembly itself, split across shard
-//!   workers that exchange [`PartialState`](referee_protocol::shard::PartialState)
-//!   frames and reply with verdicts — see [`crate::shard`] and
-//!   [`FleetClient::verify_session`].
+//! * **Referee service** ([`FleetServer::spawn_sharded`],
+//!   [`FleetServer::spawn_multiround`], or a builder with a catalog):
+//!   the server runs the referee itself, each round's assembly split
+//!   across shard workers that exchange
+//!   [`RoundPartialState`](referee_protocol::shard::multiround::RoundPartialState)
+//!   frames, and replies with downlinks and a verdict — see
+//!   [`crate::multiround`]. The one-round verifier is this service
+//!   serving a single 1-round entry ([`crate::shard`],
+//!   [`FleetClient::verify_session`]).
 //!
 //! # Per-connection keys
 //!
@@ -70,11 +74,11 @@ use crate::poll::{
     default_backend, fd_of, resolve_poller, Poller, PollerBackend, Readiness, POLLER_ENV,
 };
 use crate::reactor::{Conn, SCRATCH_BYTES, WRITE_BACKPRESSURE_BYTES};
-use crate::shard::{decode_verdict, run_sharded_server, run_sharded_server_remote};
+use crate::shard::{decode_verdict, VerifyReferee};
 use referee_graph::{LabelledGraph, VertexId};
 use referee_protocol::multiround::MultiRoundProtocol;
 use referee_protocol::trace::{TraceKind, TraceSnapshot};
-use referee_protocol::{BitWriter, DecodeError, Message, NodeView};
+use referee_protocol::{DecodeError, Message, NodeView};
 use referee_simnet::{Envelope, SessionId, Transport, TransportCounters};
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -207,8 +211,11 @@ impl std::fmt::Debug for FleetServerBuilder {
 
 impl FleetServerBuilder {
     /// Run as a sharded referee service with `shards` shard workers
-    /// (clamped to at least 1). Without this call the server is the
-    /// echo mailbox.
+    /// (clamped to at least 1). Without a
+    /// [`catalog`](FleetServerBuilder::catalog) or
+    /// [`multiround`](FleetServerBuilder::multiround) the one-round
+    /// verifier is served. A builder with no shards, catalog or
+    /// placement spawns the echo mailbox.
     pub fn shards(mut self, shards: usize) -> FleetServerBuilder {
         self.shards = shards.max(1);
         self
@@ -247,9 +254,9 @@ impl FleetServerBuilder {
     /// [`crate::placement`]). The shard count comes from the
     /// placement's [`PlacementPolicy`](crate::placement::PlacementPolicy),
     /// overriding [`shards`](FleetServerBuilder::shards). Combine with
-    /// [`multiround`](FleetServerBuilder::multiround) for the
-    /// multi-round service; without it the one-round verifier is
-    /// served.
+    /// [`multiround`](FleetServerBuilder::multiround) or
+    /// [`catalog`](FleetServerBuilder::catalog) to choose the served
+    /// protocols; without either, the one-round verifier is served.
     pub fn placement(mut self, placement: RemotePlacement) -> FleetServerBuilder {
         self.shards = placement.shards();
         self.placement = Some(placement);
@@ -314,35 +321,26 @@ impl FleetServerBuilder {
             let shutdown = Arc::clone(&shutdown);
             let metrics = Arc::clone(&metrics);
             thread::Builder::new().name("wirenet-server".into()).spawn(move || {
-                match (placement, multiround) {
-                    (Some(p), Some(catalog)) => run_multiround_server_remote(
+                if placement.is_none() && multiround.is_none() && shards == 0 {
+                    return run_server(listener, key, &shutdown, &metrics, &poller);
+                }
+                // Without a catalog the one-round verifier is served.
+                let catalog = multiround.unwrap_or_else(|| {
+                    ServiceCatalog::single(Arc::new(VerifyReferee::new(key)))
+                });
+                match placement {
+                    Some(p) => run_multiround_server_remote(
+                        listener, key, catalog, p, backoff, &shutdown, &metrics, poller,
+                    ),
+                    None => run_multiround_server(
                         listener,
                         key,
-                        Arc::new(catalog),
-                        p,
-                        backoff,
-                        &shutdown,
-                        &metrics,
-                        poller,
-                    ),
-                    (Some(p), None) => run_sharded_server_remote(
-                        listener, key, p, backoff, &shutdown, &metrics, poller,
-                    ),
-                    (None, Some(catalog)) => run_multiround_server(
-                        listener,
-                        key,
-                        Arc::new(catalog),
+                        catalog,
                         shards.max(1),
                         &shutdown,
                         &metrics,
                         poller,
                     ),
-                    (None, None) if shards == 0 => {
-                        run_server(listener, key, &shutdown, &metrics, &poller)
-                    }
-                    (None, None) => {
-                        run_sharded_server(listener, key, shards, &shutdown, &metrics, poller)
-                    }
                 }
             })?
         };
@@ -1214,10 +1212,13 @@ impl FleetClient {
             )));
         }
         let opened = Instant::now();
-        let mut w = BitWriter::new();
-        w.write_bits(n as u64, 32);
-        let announce =
-            Envelope { session, round: 0, from: 0, to: 0, payload: Message::from_writer(w) };
+        let announce = Envelope {
+            session,
+            round: 0,
+            from: 0,
+            to: 0,
+            payload: encode_mr_announce(n, None),
+        };
         if !self.core.send_kind(FrameKind::Announce, &announce) {
             return Err(DecodeError::Inconsistent(
                 "connection died announcing the session".into(),

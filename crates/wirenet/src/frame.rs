@@ -117,6 +117,11 @@ pub const TAG_BYTES: usize = 8;
 /// anything near this is an attack or a desynchronized stream, not data.
 pub const MAX_BODY_BYTES: usize = 1 << 20;
 
+/// Whether a frame carrying `payload` fits under [`MAX_BODY_BYTES`].
+pub(crate) fn fits_frame(payload: &Message) -> bool {
+    HEADER_BYTES + payload.len_bits().div_ceil(8) + TAG_BYTES <= MAX_BODY_BYTES
+}
+
 /// Why a frame was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {

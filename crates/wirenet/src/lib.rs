@@ -39,26 +39,26 @@
 //!   ([`FleetClient`]) whose [`SocketTransport`] runs 1000+ sessions
 //!   over a handful of TCP connections with wire-level metrics
 //!   ([`WireSnapshot`]).
-//! * [`shard`] — the sharded referee service: authenticated frames are
-//!   routed to shard workers by session + node range
-//!   (`referee_protocol::shard`), shards exchange
-//!   [`PartialState`](referee_protocol::shard::PartialState) frames over
-//!   the same MAC'd codec, and clients get verdicts with a keyed
-//!   [`vector_digest`] of the assembled vector
-//!   ([`FleetClient::verify_session`]).
-//! * [`multiround`] — the **multi-round** referee service: the server
-//!   runs a protocol's `referee_step` itself, once per round, over the
-//!   same sharded wait — per-round
+//! * [`multiround`] — the **referee service**, one pipeline for every
+//!   protocol: a router thread routes authenticated uplinks to shard
+//!   workers by session + node range, shards exchange per-round
 //!   [`RoundPartialState`](referee_protocol::shard::multiround::RoundPartialState)
-//!   `Partial` frames (epoch-fenced, round carried inside the
-//!   authenticated payload), MAC'd downlink frames streamed back each
-//!   round, and the encoded final output as the verdict.
-//!   [`FleetClient::run_multiround_session`] drives the node half
-//!   client-side, so Borůvka-style protocols run against a live wire
-//!   referee. Client-side deadlines (Hello handshake, verdict/round
-//!   waits) are configurable via [`WireTimeouts`] and the
-//!   `REFEREE_WIRENET_{HELLO,VERDICT}_TIMEOUT_MS` environment
-//!   variables.
+//!   `Partial` frames over the same MAC'd codec (epoch-fenced, round
+//!   carried inside the authenticated payload), and worker 0 runs the
+//!   served protocol's `referee_step` once per round, streaming MAC'd
+//!   downlinks back and finally the encoded output as the verdict. The
+//!   server hosts a [`ServiceCatalog`]; clients name their service in
+//!   the `Announce`. [`FleetClient::run_multiround_session`] drives the
+//!   node half client-side, so Borůvka-style protocols run against a
+//!   live wire referee. Client-side deadlines (Hello handshake,
+//!   verdict/round waits) are configurable via [`WireTimeouts`] and the
+//!   `REFEREE_WIRENET_{HELLO,VERDICT}_TIMEOUT_MS` environment variables.
+//! * [`shard`] — one shard's range of a session (the ingest and
+//!   late-arrival rule shared by in-process workers and remote shard
+//!   hosts), and the **one-round verifier** as a catalog entry with a
+//!   round cap of 1: its verdict carries a keyed [`vector_digest`] of
+//!   the assembled vector ([`FleetClient::verify_session`]). One-round
+//!   is a 1-round run of the same pipeline.
 //! * [`placement`] — **cross-host shard placement**: shard workers as
 //!   network peers. A [`ShardHost`] role serves shard state behind a
 //!   MAC'd registration handshake with per-shard, generation-scoped
@@ -239,7 +239,7 @@
 //! # Accountability
 //!
 //! Every provable wire-level violation produces more than a dead
-//! session: the shard and multiround services package the offending
+//! session: the referee service's shard workers package the offending
 //! MAC'd frames into self-contained
 //! [`EvidenceBundle`](referee_protocol::evidence::EvidenceBundle)s
 //! (see `referee_protocol::evidence` for the format and the no-framing
@@ -367,7 +367,7 @@ pub use multiround::{
 };
 pub use placement::{
     link_key, link_key_path, shard_key, HostId, PlacementPolicy, RemotePlacement, ShardHost,
-    ShardHostMode, DEFAULT_REDIAL_BACKOFF, REDIAL_BACKOFF_ENV, SHARD_HOST_BIND_ENV,
+    DEFAULT_REDIAL_BACKOFF, REDIAL_BACKOFF_ENV, SHARD_HOST_BIND_ENV,
 };
 pub use poll::{PollerBackend, POLLER_ENV};
 pub use shard::vector_digest;

@@ -1,94 +1,108 @@
-//! The multi-round referee service: [`FleetServer`](crate::FleetServer)
-//! in `spawn_multiround` mode runs the **referee half** of a
+//! The referee service: [`FleetServer`](crate::FleetServer) in sharded
+//! mode runs the **referee half** of a
 //! [`MultiRoundProtocol`](referee_protocol::multiround::MultiRoundProtocol)
-//! itself, round by round, with the per-round uplink wait sharded
-//! exactly like the one-round service. The server hosts a whole
-//! [`ServiceCatalog`]: every worker keys its per-session state by
-//! (connection, session, service), so one listener serves
-//! heterogeneous protocols concurrently — each client names its
+//! itself, round by round, with each round's uplink wait split across
+//! shard workers. One pipeline serves every service: the one-round
+//! verifier ([`FleetServer::spawn_sharded`](crate::FleetServer::spawn_sharded))
+//! is a catalog entry with a round cap of 1 (see [`crate::shard`]), and
+//! the server hosts a whole [`ServiceCatalog`] — each client names its
 //! service in the MAC'd `Announce`, and an unknown name fails closed
 //! with a typed error verdict instead of hanging.
 //!
 //! # Topology
 //!
 //! One **router** thread owns the listener and every client connection;
-//! `k` **shard workers** each own the
-//! [`RoundShard`]
-//! states for their slice of every session's ID space. Per session:
+//! `k` **shard workers** each own one
+//! `shard::RangeState` per session — shard `i`'s
+//! slice of the ID space. Per session:
 //!
 //! 1. the client announces `(session, n, service name)`
 //!    ([`Announce`](FrameKind::Announce)); the router resolves the name
-//!    against the catalog and every worker opens shard `i` for round 1
-//!    under that service's referee and round cap;
+//!    against the catalog and every worker with a non-empty range opens
+//!    round 1 under that service's round cap;
 //! 2. round-stamped [`Data`](FrameKind::Data) uplink frames are routed
 //!    to workers by sender range; a worker whose range completes for
 //!    round `r` ships its
 //!    [`RoundPartialState`]
 //!    as a [`Partial`](FrameKind::Partial) frame — MAC'd by the same
 //!    wire codec under the exchange-domain key, its envelope stamped
-//!    with the session's announce **epoch** and the round carried
-//!    *inside* the authenticated payload — and advances to round `r+1`;
-//! 3. worker 0 merges each round's partials (any order; empty-range
-//!    shards are implied — they never emit) and, once round `r`'s
-//!    quorum is complete (or poisoned, which fixes the verdict's `Err`
-//!    shape), runs the protocol's
-//!    [`referee_step`](referee_protocol::multiround::MultiRoundProtocol::referee_step);
+//!    `(epoch << 1) | poison_bit` and the round carried *inside* the
+//!    authenticated payload — and opens round `r+1`;
+//! 3. worker 0 merges each round's partials (any order; the quorum is
+//!    the number of non-empty ranges) and, once round `r`'s quorum is
+//!    complete (or poisoned, which fixes the verdict's `Err` shape),
+//!    runs the service's referee step;
 //! 4. `Continue` streams one MAC'd downlink [`Data`](FrameKind::Data)
 //!    frame per node back to the client (from = referee, round `r`);
 //!    `Done` ships the encoded output as a
 //!    [`Verdict`](FrameKind::Verdict) frame and retires the session
 //!    everywhere.
 //!
+//! With a [`RemotePlacement`] the ranges live on
+//! [`ShardHost`](crate::placement::ShardHost) peers instead: one proxy
+//! per shard forwards the router's traffic and pipes the hosts'
+//! partials to an in-process accumulator that owns no range (see
+//! [`crate::placement`]).
+//!
 //! [`FleetClient::run_multiround_session`](crate::FleetClient::run_multiround_session)
-//! drives the node half of the same protocol against this service:
-//! node→node CONGEST links stay client-side (they never involve the
-//! referee), uplinks and downlinks cross the wire, and the final
-//! verdict is the server's word — the client can cross-check it against
-//! a local run, exactly as `verify_session` cross-checks digests.
+//! drives the node half of a protocol against this service — node→node
+//! CONGEST links stay client-side, uplinks and downlinks cross the
+//! wire — and [`FleetClient::verify_session`](crate::FleetClient::verify_session)
+//! drives the one-round verifier.
 //!
-//! # Failure behaviour
+//! # Lifecycle and failure behaviour
 //!
-//! The lifecycle mirrors [`crate::shard`]: sessions are keyed by
-//! (connection, session id), epochs fence stale cross-shard partials of
-//! re-announced ids, tampered frames poison their connection at the
-//! router's MAC check, and faulty sessions fail fast — a duplicate or
-//! out-of-range sender poisons its round, worker 0 judges without
-//! waiting for quorum, and the client receives the canonical rejection
-//! class instead of hanging (bounded further by the client's
-//! [`WireTimeouts::verdict`](crate::WireTimeouts) round deadline). A
-//! round cap on the server ([`WireReferee::round_cap`]) bounds referee
-//! state even against a client that stalls mid-protocol.
+//! Sessions are keyed by **(connection, session id)** end to end, so
+//! independent clients may number their sessions identically. A judged
+//! session is retired from the router and every worker the moment its
+//! verdict ships (the id becomes re-announceable on its connection); a
+//! dying connection retires all of its sessions everywhere. Epochs fence
+//! stale cross-shard partials of re-announced ids.
+//!
+//! Faulty sessions fail **fast**: a duplicate or out-of-range sender
+//! poisons its round, and a repeat of an uplink whose range already
+//! shipped becomes a poison notice for that round (the rule lives in
+//! `shard::RangeState`), so worker 0 judges
+//! without waiting for ranges that may never fill. A range partial too
+//! large for the frame cap fails its session with a typed `Invalid`
+//! verdict. The fast verdict reports the first fault *detected* in the
+//! connection's FIFO arrival order, which may name a different offender
+//! than the fully-canonical protocol-layer verdict; the `Err`-vs-`Ok`
+//! shape is always identical. Tampered frames die at the router's MAC
+//! check, poisoning their connection, and a round cap on the server
+//! ([`WireReferee::round_cap`]) bounds referee state even against a
+//! client that stalls mid-protocol.
 
 use crate::auth::AuthKey;
 use crate::fleet::accept_conn;
-use crate::frame::{decode_frame, encode_wire_frame, FrameKind, WireError};
+use crate::frame::{decode_frame, encode_wire_frame, fits_frame, FrameKind, WireError};
 use crate::metrics::{trace_endpoint, Stage, WireMetrics};
-use crate::placement::{run_proxy, ProxyConfig, ProxyEvent, RemotePlacement, ShardHostMode};
+use crate::placement::{run_proxy, ProxyConfig, RemotePlacement};
 use crate::poll::{fd_of, Poller, PollerBackend, Readiness, Waker};
 use crate::reactor::{Conn, SCRATCH_BYTES, WRITE_BACKPRESSURE_BYTES};
-use crate::shard::{acc_first_order, build_evidence, evidence_record, evidence_record_for};
-use referee_protocol::evidence::{EvidenceRecord, ProvableError};
+use crate::shard::{build_evidence, Ingested, Proof, RangeState};
+use referee_protocol::evidence::SessionParams;
 use referee_protocol::multiround::RefereeStep;
-use referee_protocol::shard::multiround::{RoundPartialState, RoundShard};
-use referee_protocol::shard::{route_arrival, shard_range, Arrival};
+use referee_protocol::shard::multiround::RoundPartialState;
+use referee_protocol::shard::{route_arrival, shard_range};
 use referee_protocol::trace::TraceKind;
 use referee_protocol::{BitWriter, DecodeError, Message};
 use referee_simnet::{Envelope, SessionId};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Domain-separation tweak for the multi-round shard-exchange key
-/// (distinct from the one-round service's, so partials can never cross
-/// service modes).
-const MR_EXCHANGE_TWEAK: u64 = 0x6d72_7368_6172_6478; // "mrshardx"
+/// Domain-separation tweak for the shard-exchange key.
+const EXCHANGE_TWEAK: u64 = 0x7368_6172_645f_7863; // "shard_xc"
 
-/// How many finished session routes the router remembers (FIFO) — same
-/// rationale and bound as the one-round sharded service.
+/// How many finished session routes the router remembers (FIFO). A
+/// finished route only exists to classify short-lived stragglers behind
+/// a fast verdict as harmless; beyond this window a straggler is
+/// treated as the protocol violation it is, and the memory stays
+/// bounded no matter how many sessions a long-lived connection judges.
 const FINISHED_ROUTE_CAP: usize = 4096;
 
 // The protocol-agnostic referee service layer — [`WireReferee`],
@@ -177,18 +191,23 @@ pub(crate) fn decode_mr_verdict(msg: &Message) -> Result<Message, DecodeError> {
 }
 
 /// Router → worker (and worker → worker 0) traffic; sessions keyed by
-/// `(conn, session)` like the one-round service.
+/// `(conn, session)`.
 pub(crate) enum MrMsg {
-    /// A session opened: every worker creates its round-1 shard under
-    /// the catalog service the router resolved (an index into the
-    /// shared [`ServiceCatalog`] — the router fails unknown names
-    /// closed before they reach any worker).
-    Announce { conn: u32, session: u64, n: usize, epoch: u32, service: u32 },
+    /// A session opened: every worker with a non-empty range opens round
+    /// 1 under the catalog service the router resolved (the router fails
+    /// unknown names closed before they reach any worker). `epoch` is
+    /// the router's announce sequence number for this run of the key;
+    /// `cap` is the service's round cap at this `n`.
+    Announce { conn: u32, session: u64, n: usize, epoch: u32, service: u32, cap: u32 },
     /// An authenticated round-stamped uplink routed to this worker's
     /// range.
     Data { conn: u32, env: Envelope },
     /// A wire-encoded [`FrameKind::Partial`] frame (worker 0 only). The
-    /// envelope's `round` carries the session's announce epoch — the
+    /// envelope's `round` packs `(epoch << 1) | poison_bit`: the epoch
+    /// keeps a partial of a *previous* run of a re-announced key out of
+    /// the current one (worker → worker-0 sends are not ordered against
+    /// router → worker-0 sends); poison bit 0 is a range partial (counts
+    /// toward the quorum), 1 a poison notice (merged, never quorum). The
     /// protocol round travels inside the authenticated payload.
     Partial(Vec<u8>),
     /// A session's verdict shipped: drop its state everywhere.
@@ -197,7 +216,7 @@ pub(crate) enum MrMsg {
     Retire { conn: u32 },
 }
 
-/// Worker 0 → router.
+/// Worker → router.
 enum MrOutbound {
     /// Stream round `round`'s downlinks (`msgs[i]` to node `i + 1`).
     Downlinks { conn: u32, session: SessionId, round: u32, msgs: Vec<Message> },
@@ -223,119 +242,108 @@ impl OutTx {
     }
 }
 
-/// Router-side per-session record.
+/// Router-side per-session record: network size plus whether the
+/// verdict already shipped (late data for a finished session is
+/// harmless straggle, and the id becomes re-announceable).
 struct SessionRoute {
     n: usize,
     finished: bool,
 }
 
-/// Per-session state inside one worker — keyed by (conn, session) in
-/// the worker's map, with the resolved catalog `service` pinned at
-/// announce time (the stepper and round cap are that service's; a
-/// re-announced id may land on a different service under a fresh
-/// epoch).
-struct MrSession {
-    conn: u32,
-    n: usize,
-    epoch: u32,
-    #[allow(dead_code)] // recorded for debugging; cap + stepper already carry its effect
-    service: u32,
-    /// Total shards in the partition (needed to open each next round).
-    shards: usize,
-    /// The round this worker's shard is currently collecting.
-    shard: RoundShard,
-    /// Worker 0 only: the referee, its next round, and per-round merge
-    /// accumulators `(state, quorum)`.
-    stepper: Option<Box<dyn RefereeStepper>>,
-    referee_round: u32,
-    pending: BTreeMap<u32, (RoundPartialState, usize)>,
-    /// Shards with non-empty ranges for this `n` — the per-round merge
-    /// quorum (empty-range shards never emit; their empty partials are
-    /// implied).
-    needed: usize,
-    /// Server-side round cap.
-    cap: usize,
-    /// When this worker saw the announce — the zero point for the
-    /// server-side verdict stage histogram.
-    opened: Instant,
-    /// When the referee's current round opened (reset per round) — the
-    /// zero point for the per-round partial-merge stage histogram.
-    round_opened: Instant,
+/// The router's session table: every announced route, plus a bounded
+/// FIFO of the finished ones.
+#[derive(Default)]
+struct Routes {
+    live: HashMap<(u32, u64), SessionRoute>,
+    finished: VecDeque<(u32, u64)>,
 }
 
-/// The multi-round-mode server loop (spawned by
-/// [`FleetServer::spawn_multiround`](crate::FleetServer::spawn_multiround)).
+impl Routes {
+    /// Mark `key` judged and evict the oldest finished routes beyond
+    /// [`FINISHED_ROUTE_CAP`] — unless re-announced since.
+    fn finish(&mut self, key: (u32, u64)) {
+        if let Some(route) = self.live.get_mut(&key) {
+            route.finished = true;
+            self.finished.push_back(key);
+        }
+        while self.finished.len() > FINISHED_ROUTE_CAP {
+            let old = self.finished.pop_front().expect("len > cap > 0");
+            if self.live.get(&old).is_some_and(|r| r.finished) {
+                self.live.remove(&old);
+            }
+        }
+    }
+}
+
+/// Index order for broadcasting router control traffic to workers: the
+/// merge accumulator FIRST, then everyone else. Every worker's reaction
+/// to a control message funnels into the accumulator's inbox, and
+/// channel causality only keeps that reaction *behind* the message that
+/// caused it if the router enqueued the accumulator's copy before any
+/// other worker's. In-process layouts keep the accumulator at index 0;
+/// remote placement appends its channel after the `shards` proxies,
+/// where forward order would let partials overtake their announce.
+fn acc_first_order(len: usize, shards: usize) -> impl Iterator<Item = usize> {
+    let acc = if len > shards { shards } else { 0 };
+    std::iter::once(acc).chain((0..len).filter(move |i| *i != acc))
+}
+
+/// `count` worker channels.
+fn channels(count: usize) -> (Vec<Sender<MrMsg>>, Vec<Receiver<MrMsg>>) {
+    (0..count).map(|_| channel()).unzip()
+}
+
+/// The referee service with in-process shards (spawned by the sharded
+/// and multi-round [`FleetServer`](crate::FleetServer) modes): `shards`
+/// workers, worker 0 doubling as the merge accumulator.
 pub(crate) fn run_multiround_server(
     listener: TcpListener,
     key: AuthKey,
-    catalog: Arc<ServiceCatalog>,
+    catalog: ServiceCatalog,
     shards: usize,
     shutdown: &AtomicBool,
     metrics: &WireMetrics,
     poller: Poller,
 ) {
-    let exchange_key = key.derive(MR_EXCHANGE_TWEAK);
-    let (out_tx, out_rx) = std::sync::mpsc::channel::<MrOutbound>();
-    let mut worker_txs: Vec<Sender<MrMsg>> = Vec::with_capacity(shards);
-    let mut worker_rxs: Vec<Receiver<MrMsg>> = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (tx, rx) = std::sync::mpsc::channel();
-        worker_txs.push(tx);
-        worker_rxs.push(rx);
-    }
+    let exchange_key = key.derive(EXCHANGE_TWEAK);
+    let (out_tx, out_rx) = channel();
+    let (txs, rxs) = channels(shards);
     thread::scope(|scope| {
-        for (i, rx) in worker_rxs.into_iter().enumerate().rev() {
-            let tx0 = if i == 0 { None } else { Some(worker_txs[0].clone()) };
-            let otx = OutTx { tx: out_tx.clone(), waker: poller.waker() };
-            let exchange_key = &exchange_key;
-            let base = &key;
-            let catalog = Arc::clone(&catalog);
-            scope.spawn(move || {
-                mr_worker(i, shards, rx, tx0, otx, exchange_key, base, catalog, metrics, true)
-            });
+        for (index, rx) in rxs.into_iter().enumerate() {
+            let worker = Worker {
+                index,
+                shards,
+                // Worker 0 merges its own partials in place and must not
+                // hold a sender to itself (its inbox would never
+                // disconnect).
+                tx0: (index != 0).then(|| txs[0].clone()),
+                otx: OutTx { tx: out_tx.clone(), waker: poller.waker() },
+                exchange_key: &exchange_key,
+                base: &key,
+                metrics,
+                owns_range: true,
+            };
+            let catalog = &catalog;
+            scope.spawn(move || worker.run(rx, catalog));
         }
         drop(out_tx);
-        mr_route(
-            listener,
-            key,
-            &catalog,
-            shards,
-            shutdown,
-            metrics,
-            &worker_txs,
-            &out_rx,
-            &poller,
-        );
-        drop(worker_txs);
+        mr_route(listener, key, &catalog, shards, shutdown, metrics, &txs, &out_rx, &poller);
+        // Dropping the senders disconnects every worker inbox; the scope
+        // then joins the workers.
+        drop(txs);
     });
 }
 
-/// Convert router traffic into the placement proxy's event type.
-pub(crate) fn mr_proxy_event(m: MrMsg) -> Option<ProxyEvent> {
-    match m {
-        // Remote shard hosts only collect per-round uplink ranges —
-        // they never run a referee, so the service index stays
-        // coordinator-side.
-        MrMsg::Announce { conn, session, n, epoch, service: _ } => {
-            Some(ProxyEvent::Announce { conn, session, n, epoch })
-        }
-        MrMsg::Data { conn, env } => Some(ProxyEvent::Data { conn, env }),
-        MrMsg::Finish { conn, session } => Some(ProxyEvent::Finish { conn, session }),
-        MrMsg::Retire { conn } => Some(ProxyEvent::Retire { conn }),
-        MrMsg::Partial(_) => None,
-    }
-}
-
-/// The multi-round server loop with **remotely placed** shards: every
-/// per-round range wait lives on a
-/// [`ShardHost`](crate::placement::ShardHost) named by `placement`; the
-/// in-process worker 0 keeps only the referee and the per-round merge
-/// accumulators, fed by one proxy per shard.
+/// The referee service with **remotely placed** shards: every range
+/// lives on a [`ShardHost`](crate::placement::ShardHost) named by
+/// `placement`; the in-process worker 0 owns no range and keeps only
+/// the referee and the per-round merge accumulators, fed by one proxy
+/// per shard.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_multiround_server_remote(
     listener: TcpListener,
     key: AuthKey,
-    catalog: Arc<ServiceCatalog>,
+    catalog: ServiceCatalog,
     placement: RemotePlacement,
     backoff: Duration,
     shutdown: &AtomicBool,
@@ -343,91 +351,75 @@ pub(crate) fn run_multiround_server_remote(
     poller: Poller,
 ) {
     let shards = placement.shards();
-    let exchange_key = key.derive(MR_EXCHANGE_TWEAK);
-    let (out_tx, out_rx) = std::sync::mpsc::channel::<MrOutbound>();
-    let mut worker_txs: Vec<Sender<MrMsg>> = Vec::with_capacity(shards + 1);
-    let mut worker_rxs: Vec<Receiver<MrMsg>> = Vec::with_capacity(shards + 1);
-    for _ in 0..=shards {
-        let (tx, rx) = std::sync::mpsc::channel();
-        worker_txs.push(tx);
-        worker_rxs.push(rx);
-    }
+    let exchange_key = key.derive(EXCHANGE_TWEAK);
+    let (out_tx, out_rx) = channel();
+    // One channel per shard proxy, plus the accumulator's (last), which
+    // the router also broadcasts control traffic to.
+    let (txs, rxs) = channels(shards + 1);
     thread::scope(|scope| {
-        let mut rxs = worker_rxs.into_iter();
-        let proxy_rxs: Vec<_> = rxs.by_ref().take(shards).collect();
-        let acc_rx = rxs.next().expect("accumulator channel");
-        {
-            let otx = OutTx { tx: out_tx.clone(), waker: poller.waker() };
-            let exchange_key = &exchange_key;
-            let base = &key;
-            let catalog = Arc::clone(&catalog);
+        let mut rxs = rxs.into_iter();
+        for (index, rx) in rxs.by_ref().take(shards).enumerate() {
+            let acc_tx = txs[shards].clone();
+            let cfg = ProxyConfig {
+                index,
+                shards,
+                base: &key,
+                exchange_key: &exchange_key,
+                placement: &placement,
+                metrics,
+                backoff,
+            };
             scope.spawn(move || {
-                mr_worker(
-                    0,
-                    shards,
-                    acc_rx,
-                    None,
-                    otx,
-                    exchange_key,
-                    base,
-                    catalog,
-                    metrics,
-                    false,
-                )
+                run_proxy(cfg, rx, move |bytes| {
+                    let _ = acc_tx.send(MrMsg::Partial(bytes));
+                })
             });
         }
-        for (i, rx) in proxy_rxs.into_iter().enumerate() {
-            let acc_tx = worker_txs[shards].clone();
-            let base = &key;
-            let exchange_key = &exchange_key;
-            let placement = &placement;
-            let catalog = Arc::clone(&catalog);
-            scope.spawn(move || {
-                run_proxy(
-                    ProxyConfig {
-                        mode: ShardHostMode::MultiRound,
-                        index: i,
-                        shards,
-                        base,
-                        exchange_key,
-                        placement,
-                        metrics,
-                        backoff,
-                    },
-                    rx,
-                    mr_proxy_event,
-                    move |bytes| {
-                        let _ = acc_tx.send(MrMsg::Partial(bytes));
-                    },
-                    // Shard hosts are service-agnostic: they bound a
-                    // session by the catalog's widest cap (worker 0
-                    // judges by the exact per-service cap regardless).
-                    move |n| catalog.max_round_cap(n),
-                )
-            });
-        }
-        drop(out_tx);
-        mr_route(
-            listener,
-            key,
-            &catalog,
+        let acc = Worker {
+            index: 0,
             shards,
-            shutdown,
+            tx0: None,
+            otx: OutTx { tx: out_tx, waker: poller.waker() },
+            exchange_key: &exchange_key,
+            base: &key,
             metrics,
-            &worker_txs,
-            &out_rx,
-            &poller,
-        );
-        drop(worker_txs);
+            owns_range: false,
+        };
+        let acc_rx = rxs.next().expect("accumulator channel");
+        let catalog = &catalog;
+        scope.spawn(move || acc.run(acc_rx, catalog));
+        mr_route(listener, key, catalog, shards, shutdown, metrics, &txs, &out_rx, &poller);
+        drop(txs);
     });
 }
 
+/// Queue one server frame and count it.
+fn send_frame(conn: &mut Conn, kind: FrameKind, env: &Envelope, metrics: &WireMetrics) {
+    let frame_len = conn.queue_frame_mut(kind, env).len();
+    metrics.frames_sent(1);
+    metrics.bytes_sent(frame_len as u64);
+}
+
+/// The open connection `cid`, marked for the post-drain flush.
+fn open_conn<'g>(
+    gates: &'g mut [(u32, Conn)],
+    touched: &mut Vec<u32>,
+    cid: u32,
+) -> Option<&'g mut Conn> {
+    let (_, conn) = gates.iter_mut().find(|(id, c)| *id == cid && c.is_open())?;
+    if !touched.contains(&cid) {
+        touched.push(cid);
+    }
+    Some(conn)
+}
+
 /// The router: accepts, authenticates, routes round-stamped uplinks by
-/// session + node range, and streams downlink and verdict frames back.
-/// Like the echo server's pump, it rides the poller's readiness *sets*:
-/// only the connections the kernel flagged are filled and parsed each
-/// wake (a full probe sweep of the pool happens only when readiness
-/// degrades to `All` — the sweep backend, or the capped wait timeout).
+/// session + node range, and streams downlink, evidence and verdict
+/// frames back. It rides the poller's readiness *sets* like the echo
+/// server's pump: only the connections the kernel flagged are filled
+/// and parsed each wake (a full probe sweep of the pool happens only
+/// when readiness degrades to `All` — the sweep backend, or the capped
+/// wait timeout).
 #[allow(clippy::too_many_arguments)]
 fn mr_route(
     listener: TcpListener,
@@ -440,12 +432,19 @@ fn mr_route(
     out_rx: &Receiver<MrOutbound>,
     poller: &Poller,
 ) {
+    let broadcast = |msg: &dyn Fn() -> MrMsg| {
+        for wi in acc_first_order(worker_txs.len(), shards) {
+            let _ = worker_txs[wi].send(msg());
+        }
+    };
     let listener_fd = fd_of(&listener);
     poller.register(listener_fd);
     let mut gates: Vec<(u32, Conn)> = Vec::new();
-    let mut announced: HashMap<(u32, u64), SessionRoute> = HashMap::new();
-    let mut finished_fifo: VecDeque<(u32, u64)> = VecDeque::new();
+    let mut routes = Routes::default();
     let mut next_id: u32 = 1;
+    // Announce sequence, packed into 31 bits of the partial frames'
+    // round field (wraps after 2³¹ announces — a collision would need a
+    // partial of that exact ancient run still in flight).
     let mut next_epoch: u32 = 1;
     let mut scratch = vec![0u8; SCRATCH_BYTES];
     let mut ready: Vec<i32> = Vec::new();
@@ -489,73 +488,57 @@ fn mr_route(
                     Ok(None) => break,
                     Ok(Some((FrameKind::Announce, env))) => {
                         metrics.frames_received(1);
-                        let Some((n, name)) = decode_mr_announce(&env.payload) else {
+                        let key = (*id, env.session.0);
+                        // Re-announcing a *finished* session id is legal
+                        // (long-lived clients recycle ids); a live one is
+                        // a protocol violation, like a malformed payload.
+                        let decoded = decode_mr_announce(&env.payload)
+                            .filter(|_| routes.live.get(&key).is_none_or(|r| r.finished));
+                        let Some((n, name)) = decoded else {
                             metrics.decode_rejects(1);
                             conn.close();
                             break;
                         };
-                        if announced
-                            .get(&(*id, env.session.0))
-                            .is_some_and(|route| !route.finished)
-                        {
-                            metrics.decode_rejects(1);
-                            conn.close();
-                            break;
-                        }
-                        // Resolve the requested service (a bare
-                        // announce is index 0 — the pre-catalog wire
-                        // format). An unknown name fails *closed*: the
-                        // session is born finished with a typed error
-                        // verdict already queued, so the client gets a
-                        // canonical rejection instead of a hang, the
-                        // connection stays usable, and no worker ever
-                        // hears of the session.
+                        routes.live.insert(key, SessionRoute { n, finished: false });
+                        // Resolve the requested service (a bare announce
+                        // is index 0 — the pre-catalog wire format). An
+                        // unknown name fails *closed*: the session is born
+                        // finished with a typed error verdict queued, so
+                        // the client gets a canonical rejection instead of
+                        // a hang, the connection stays usable, and no
+                        // worker ever hears of the session.
                         let service = match &name {
-                            None if !catalog.is_empty() => 0,
-                            Some(name) if catalog.index_of(name).is_some() => {
-                                catalog.index_of(name).expect("checked") as u32
-                            }
-                            _ => {
-                                metrics.decode_rejects(1);
-                                let payload =
-                                    encode_mr_verdict(&Err(DecodeError::Invalid(format!(
-                                        "unknown catalog service {:?}",
-                                        name.as_deref().unwrap_or("")
-                                    ))));
-                                let verdict_env = Envelope {
-                                    session: env.session,
-                                    round: 0,
-                                    from: 0,
-                                    to: 0,
-                                    payload,
-                                };
-                                let frame_len = conn
-                                    .queue_frame_mut(FrameKind::Verdict, &verdict_env)
-                                    .len();
-                                metrics.frames_sent(1);
-                                metrics.verdict_frames(1);
-                                metrics.bytes_sent(frame_len as u64);
-                                metrics.trace(
-                                    env.session.0,
-                                    trace_endpoint::SERVER,
-                                    TraceKind::Verdict,
-                                    u64::from(*id),
-                                );
-                                announced.insert(
-                                    (*id, env.session.0),
-                                    SessionRoute { n, finished: true },
-                                );
-                                finished_fifo.push_back((*id, env.session.0));
-                                while finished_fifo.len() > FINISHED_ROUTE_CAP {
-                                    let key = finished_fifo.pop_front().expect("len > cap > 0");
-                                    if announced.get(&key).is_some_and(|r| r.finished) {
-                                        announced.remove(&key);
-                                    }
-                                }
-                                progress = true;
-                                continue;
-                            }
+                            None => (!catalog.is_empty()).then_some(0),
+                            Some(name) => catalog.index_of(name),
                         };
+                        let Some(service) = service else {
+                            metrics.decode_rejects(1);
+                            let payload =
+                                encode_mr_verdict(&Err(DecodeError::Invalid(format!(
+                                    "unknown catalog service {:?}",
+                                    name.as_deref().unwrap_or("")
+                                ))));
+                            let verdict = Envelope {
+                                session: env.session,
+                                round: 0,
+                                from: 0,
+                                to: 0,
+                                payload,
+                            };
+                            send_frame(conn, FrameKind::Verdict, &verdict, metrics);
+                            metrics.verdict_frames(1);
+                            metrics.trace(
+                                env.session.0,
+                                trace_endpoint::SERVER,
+                                TraceKind::Verdict,
+                                u64::from(*id),
+                            );
+                            routes.finish(key);
+                            progress = true;
+                            continue;
+                        };
+                        let cap =
+                            catalog.by_index(service).expect("resolved above").round_cap(n);
                         let epoch = next_epoch & 0x7fff_ffff;
                         next_epoch = next_epoch.wrapping_add(1);
                         metrics.trace(
@@ -564,26 +547,22 @@ fn mr_route(
                             TraceKind::Announce,
                             n as u64,
                         );
-                        announced
-                            .insert((*id, env.session.0), SessionRoute { n, finished: false });
-                        // Accumulator-first: see `acc_first_order` — a
-                        // partial must never overtake its announce into
-                        // the accumulator's inbox.
-                        for wi in acc_first_order(worker_txs.len(), shards) {
-                            let _ = worker_txs[wi].send(MrMsg::Announce {
-                                conn: *id,
-                                session: env.session.0,
-                                n,
-                                epoch,
-                                service,
-                            });
-                        }
+                        broadcast(&|| MrMsg::Announce {
+                            conn: key.0,
+                            session: key.1,
+                            n,
+                            epoch,
+                            service: service as u32,
+                            cap: cap as u32,
+                        });
                         progress = true;
                     }
                     Ok(Some((FrameKind::Data, env))) => {
                         metrics.frames_received(1);
-                        match announced.get(&(*id, env.session.0)) {
+                        match routes.live.get(&(*id, env.session.0)) {
                             Some(route) if route.finished => {
+                                // Stragglers behind a fast verdict — the
+                                // session is already judged.
                                 metrics.orphan_frames(1);
                             }
                             Some(route) => {
@@ -597,6 +576,8 @@ fn mr_route(
                                 let _ = worker_txs[target].send(MrMsg::Data { conn: *id, env });
                             }
                             None => {
+                                // Data for a session this connection
+                                // never announced.
                                 metrics.decode_rejects(1);
                                 conn.close();
                                 break;
@@ -633,45 +614,25 @@ fn mr_route(
         // burst — a whole round's downlinks coalesce first).
         let mut touched: Vec<u32> = Vec::new();
         while let Ok(out) = out_rx.try_recv() {
+            progress = true;
             match out {
                 MrOutbound::Downlinks { conn: cid, session, round, msgs } => {
-                    match gates.iter_mut().find(|(id, c)| *id == cid && c.is_open()) {
-                        Some((_, conn)) => {
-                            // A whole round's downlinks coalesce in the
-                            // write buffer; the post-drain flush of the
-                            // touched conns ships them in one write.
-                            if !touched.contains(&cid) {
-                                touched.push(cid);
-                            }
-                            for (i, payload) in msgs.into_iter().enumerate() {
-                                let env = Envelope {
-                                    session,
-                                    round,
-                                    from: 0, // the referee
-                                    to: (i + 1) as u32,
-                                    payload,
-                                };
-                                let frame_len =
-                                    conn.queue_frame_mut(FrameKind::Data, &env).len();
-                                metrics.frames_sent(1);
-                                metrics.downlink_frames(1);
-                                metrics.bytes_sent(frame_len as u64);
-                            }
-                        }
-                        None => metrics.orphan_frames(1),
+                    let Some(conn) = open_conn(&mut gates, &mut touched, cid) else {
+                        metrics.orphan_frames(1);
+                        continue;
+                    };
+                    for (i, payload) in msgs.into_iter().enumerate() {
+                        let to = (i + 1) as u32;
+                        let env = Envelope { session, round, from: 0, to, payload };
+                        send_frame(conn, FrameKind::Data, &env, metrics);
+                        metrics.downlink_frames(1);
                     }
                 }
                 MrOutbound::Verdict { conn: cid, session, payload } => {
-                    match gates.iter_mut().find(|(id, c)| *id == cid && c.is_open()) {
-                        Some((_, conn)) => {
-                            if !touched.contains(&cid) {
-                                touched.push(cid);
-                            }
+                    match open_conn(&mut gates, &mut touched, cid) {
+                        Some(conn) => {
                             let env = Envelope { session, round: 0, from: 0, to: 0, payload };
-                            let frame_len =
-                                conn.queue_frame_mut(FrameKind::Verdict, &env).len();
-                            metrics.frames_sent(1);
-                            metrics.bytes_sent(frame_len as u64);
+                            send_frame(conn, FrameKind::Verdict, &env, metrics);
                             metrics.trace(
                                 session.0,
                                 trace_endpoint::SERVER,
@@ -681,38 +642,22 @@ fn mr_route(
                         }
                         None => metrics.orphan_frames(1),
                     }
-                    if let Some(route) = announced.get_mut(&(cid, session.0)) {
-                        route.finished = true;
-                        finished_fifo.push_back((cid, session.0));
-                        while finished_fifo.len() > FINISHED_ROUTE_CAP {
-                            let key = finished_fifo.pop_front().expect("len > cap > 0");
-                            if announced.get(&key).is_some_and(|r| r.finished) {
-                                announced.remove(&key);
-                            }
-                        }
-                    }
-                    for wi in acc_first_order(worker_txs.len(), shards) {
-                        let _ = worker_txs[wi]
-                            .send(MrMsg::Finish { conn: cid, session: session.0 });
-                    }
+                    // The session is judged: late data becomes straggle,
+                    // the id becomes re-announceable, and every worker
+                    // drops its state.
+                    routes.finish((cid, session.0));
+                    broadcast(&|| MrMsg::Finish { conn: cid, session: session.0 });
                 }
                 MrOutbound::Evidence { conn: cid, session, from, payload } => {
-                    match gates.iter_mut().find(|(id, c)| *id == cid && c.is_open()) {
-                        Some((_, conn)) => {
-                            if !touched.contains(&cid) {
-                                touched.push(cid);
-                            }
+                    match open_conn(&mut gates, &mut touched, cid) {
+                        Some(conn) => {
                             let env = Envelope { session, round: 0, from, to: 0, payload };
-                            let frame_len =
-                                conn.queue_frame_mut(FrameKind::Evidence, &env).len();
-                            metrics.frames_sent(1);
-                            metrics.bytes_sent(frame_len as u64);
+                            send_frame(conn, FrameKind::Evidence, &env, metrics);
                         }
                         None => metrics.orphan_frames(1),
                     }
                 }
             }
-            progress = true;
         }
         for cid in touched {
             if let Some((_, conn)) = gates.iter_mut().find(|(id, _)| *id == cid) {
@@ -721,11 +666,9 @@ fn mr_route(
         }
         let closed: Vec<u32> =
             gates.iter().filter(|(_, c)| !c.is_open()).map(|(id, _)| *id).collect();
-        for cid in &closed {
-            announced.retain(|(owner, _), _| owner != cid);
-            for wi in acc_first_order(worker_txs.len(), shards) {
-                let _ = worker_txs[wi].send(MrMsg::Retire { conn: *cid });
-            }
+        for &cid in &closed {
+            routes.live.retain(|(owner, _), _| *owner != cid);
+            broadcast(&|| MrMsg::Retire { conn: cid });
         }
         if !closed.is_empty() {
             gates.retain(|(_, c)| c.is_open());
@@ -749,453 +692,362 @@ fn nonempty_shards(n: usize, shards: usize) -> usize {
     (0..shards).filter(|&i| !shard_range(n, shards, i).is_empty()).count()
 }
 
-/// Build, self-verify, and ship an evidence bundle for a multi-round
-/// session — the mr twin of the one-round service's `emit_evidence`.
-/// The bundle rides the worker→router outbound channel as an
-/// [`MrOutbound::Evidence`] and reaches the client as a
-/// [`FrameKind::Evidence`] frame; it never touches round/verdict
-/// bookkeeping, so the session's failure path is unchanged.
-#[allow(clippy::too_many_arguments)]
-fn mr_evidence(
-    index: usize,
-    base: &AuthKey,
-    session: u64,
-    ws: &MrSession,
-    error: ProvableError,
-    records: Vec<EvidenceRecord>,
-    otx: &OutTx,
-    metrics: &WireMetrics,
-) {
-    let Some(bundle) = build_evidence(
-        base,
-        ws.conn,
-        session,
-        ws.n,
-        ws.cap as u32,
-        error,
-        records,
-        trace_endpoint::worker(index as u32),
-        metrics,
-    ) else {
-        return;
-    };
-    otx.send(MrOutbound::Evidence {
-        conn: ws.conn,
-        session: SessionId(session),
-        from: bundle.accused.unwrap_or(0),
-        payload: bundle.encode(),
-    });
-}
-
-/// One multi-round shard worker: owns shard `index` of every announced
-/// session's per-round uplink wait. With `owns_range` false (remote
-/// placement) the worker collects nothing itself — it keeps only the
-/// referee and the per-round merge accumulators, its "shard" a
-/// permanently empty range that never emits.
-#[allow(clippy::too_many_arguments)]
-fn mr_worker(
+/// One shard worker's fixed context.
+struct Worker<'a> {
     index: usize,
     shards: usize,
-    rx: Receiver<MrMsg>,
+    /// Worker 0's inbox (`None` on worker 0 itself).
     tx0: Option<Sender<MrMsg>>,
     otx: OutTx,
-    exchange_key: &AuthKey,
-    base: &AuthKey,
-    catalog: Arc<ServiceCatalog>,
-    metrics: &WireMetrics,
+    exchange_key: &'a AuthKey,
+    base: &'a AuthKey,
+    metrics: &'a WireMetrics,
+    /// `false` for the remote accumulator, which collects no range.
     owns_range: bool,
-) {
-    let mut sessions: HashMap<(u32, u64), MrSession> = HashMap::new();
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            MrMsg::Announce { conn, session, n, epoch, service } => {
-                // A worker whose range is empty for this n can never
-                // receive routed data and never emits: skip the session
-                // entirely (worker 0 always participates — it runs the
-                // referee).
-                if index != 0 && shard_range(n, shards, index).is_empty() {
-                    continue;
-                }
-                // The router resolved (and fail-closed) the service
-                // name before broadcasting, so the index is valid.
-                let entry =
-                    catalog.by_index(service as usize).expect("router validated the service");
-                let mut ws = MrSession {
-                    conn,
-                    n,
-                    epoch,
-                    service,
-                    shards,
-                    shard: if owns_range {
-                        RoundShard::new(n, shards, index, 1)
-                    } else {
-                        // n = 0 yields the empty range: the emit loop
-                        // returns immediately, forever.
-                        RoundShard::new(0, 1, 0, 1)
-                    },
-                    stepper: (index == 0).then(|| entry.open(n)),
-                    referee_round: 1,
-                    pending: BTreeMap::new(),
-                    needed: nonempty_shards(n, shards),
-                    cap: entry.round_cap(n),
-                    opened: Instant::now(),
-                    round_opened: Instant::now(),
-                };
-                emit_ready_rounds(index, session, &mut ws, &tx0, exchange_key, metrics);
-                if index == 0 && try_advance(session, &mut ws, &otx, metrics) {
-                    continue; // e.g. n = 0: judged straight from announce
-                }
-                sessions.insert((conn, session), ws);
-            }
-            MrMsg::Data { conn, env } => {
-                let session = env.session.0;
-                let Some(ws) = sessions.get_mut(&(conn, session)) else {
-                    metrics.orphan_frames(1);
-                    continue;
-                };
-                let cap = ws.cap as u32;
-                if env.from == 0 || env.from as usize > ws.n {
-                    // Out-of-range stray: recorded round-agnostically —
-                    // it poisons the current shard and fails the
-                    // session fast, whatever round it claimed.
-                    mr_evidence(
-                        index,
-                        base,
-                        session,
-                        ws,
-                        ProvableError::OutOfRangeSender,
-                        vec![evidence_record(base, conn, &env)],
-                        &otx,
-                        metrics,
-                    );
-                    let _ = ws.shard.ingest(env.from, env.payload);
-                } else if env.round == ws.shard.round() {
-                    match ws.shard.ingest(env.from, env.payload.clone()) {
-                        Ok(Arrival::Fresh) | Ok(Arrival::OutOfRange) => {}
-                        Ok(Arrival::Duplicate { identical }) => {
-                            let (error, records) = if identical {
-                                // Provable but NOT attributable: an
-                                // at-least-once network duplicates
-                                // frames too, so nobody is accused.
-                                let rec = evidence_record(base, conn, &env);
-                                (ProvableError::DuplicateSender, vec![rec.clone(), rec])
-                            } else {
-                                // Equivocation: the recorded original
-                                // and the conflicting arrival, signed
-                                // into the same (round, sender) slot.
-                                match ws.shard.message_for(env.from).cloned() {
-                                    Some(prev) => (
-                                        ProvableError::Equivocation,
-                                        vec![
-                                            evidence_record_for(base, conn, &env, &prev),
-                                            evidence_record(base, conn, &env),
-                                        ],
-                                    ),
-                                    None => (ProvableError::Equivocation, Vec::new()),
-                                }
-                            };
-                            if !records.is_empty() {
-                                mr_evidence(
-                                    index, base, session, ws, error, records, &otx, metrics,
-                                );
-                            }
-                            ws.shard.note_duplicate(env.from);
-                        }
-                        Err(_) => {
-                            // Router/worker range disagreement — a bug,
-                            // not wire data; surfaced in metrics.
-                            metrics.decode_rejects(1);
-                            continue;
-                        }
-                    }
-                } else if env.round == 0 || env.round > cap {
-                    // A round stamp outside 1..=cap can never be an
-                    // honest uplink of this session — provable on the
-                    // frame alone. Round 0 would otherwise be absorbed
-                    // as a harmless straggler; past-cap stamps poison
-                    // like any other race-ahead below.
-                    mr_evidence(
-                        index,
-                        base,
-                        session,
-                        ws,
-                        ProvableError::WrongRound,
-                        vec![evidence_record(base, conn, &env)],
-                        &otx,
-                        metrics,
-                    );
-                    if env.round > cap {
-                        ws.shard.note_duplicate(env.from);
-                    }
-                } else if env.round < ws.shard.round() {
-                    // A straggler behind an already-emitted round
-                    // partial: the referee consumed that round (per-
-                    // connection FIFO means the client re-sent it), so
-                    // it can no longer influence any verdict.
-                    metrics.orphan_frames(1);
-                } else {
-                    // An uplink for a round whose downlinks were never
-                    // issued — a client racing ahead of the protocol.
-                    // Poison the current round so the session fails
-                    // fast instead of wedging.
-                    ws.shard.note_duplicate(env.from);
-                }
-                emit_ready_rounds(index, session, ws, &tx0, exchange_key, metrics);
-                if index == 0 && try_advance(session, ws, &otx, metrics) {
-                    sessions.remove(&(conn, session));
-                }
-            }
-            MrMsg::Partial(bytes) => {
-                // Worker 0 only: authenticate and decode a sibling
-                // shard's round partial through the wire codec.
-                let decoded = match decode_frame(exchange_key, &bytes) {
-                    Ok(Some(d)) if d.kind == FrameKind::Partial => d,
-                    Ok(_) => {
-                        metrics.decode_rejects(1);
+}
+
+/// Per-session state inside one worker.
+struct WorkerSession {
+    conn: u32,
+    n: usize,
+    /// The announce epoch of this run (stamped into partial frames so
+    /// stale cross-shard traffic of an earlier run cannot merge here).
+    epoch: u32,
+    /// The service's round cap at this `n`.
+    cap: u32,
+    /// This worker's range; `None` on the remote accumulator.
+    range: Option<RangeState>,
+    /// Worker 0 only: the referee and its per-round merges.
+    referee: Option<Referee>,
+    /// When this worker saw the announce — the zero point for the
+    /// server-side verdict stage histogram.
+    opened: Instant,
+}
+
+/// Worker 0's half of a session.
+struct Referee {
+    stepper: Box<dyn RefereeStepper>,
+    /// The next round to step.
+    round: u32,
+    /// Per-round merge accumulators and their quorum counts.
+    pending: BTreeMap<u32, (RoundPartialState, usize)>,
+    /// Shards with non-empty ranges — the per-round merge quorum.
+    needed: usize,
+    /// When the current round opened — the zero point for the per-round
+    /// partial-merge stage histogram.
+    round_opened: Instant,
+}
+
+impl Referee {
+    /// Merge one partial into its round's accumulator. `Ok(false)`: the
+    /// round was already stepped, so the partial (a late poison notice)
+    /// is dropped.
+    fn absorb(&mut self, p: RoundPartialState, quorum: bool) -> Result<bool, DecodeError> {
+        let round = p.round();
+        if round < self.round {
+            return Ok(false);
+        }
+        let (acc, count) = self
+            .pending
+            .entry(round)
+            .or_insert_with(|| (RoundPartialState::new(p.n(), round), 0));
+        acc.merge(p)?;
+        *count += usize::from(quorum);
+        Ok(true)
+    }
+}
+
+impl Worker<'_> {
+    /// Serve sessions until the inbox disconnects.
+    fn run(&self, rx: Receiver<MrMsg>, catalog: &ServiceCatalog) {
+        let mut sessions: HashMap<(u32, u64), WorkerSession> = HashMap::new();
+        while let Ok(msg) = rx.recv() {
+            match msg {
+                MrMsg::Announce { conn, session, n, epoch, service, cap } => {
+                    // A worker whose range is empty for this n never
+                    // receives data and never emits (worker 0 always
+                    // participates — it runs the referee).
+                    if self.index != 0 && shard_range(n, self.shards, self.index).is_empty() {
                         continue;
                     }
-                    Err(WireError::BadMac) => {
-                        metrics.mac_rejects(1);
-                        continue;
-                    }
-                    Err(_) => {
-                        metrics.decode_rejects(1);
-                        continue;
-                    }
-                };
-                let session = decoded.envelope.session.0;
-                let conn = decoded.envelope.to;
-                let Some(ws) = sessions.get_mut(&(conn, session)) else {
-                    metrics.orphan_frames(1); // finished or retired in flight
-                    continue;
-                };
-                // The envelope's round field carries the announce epoch:
-                // a stale partial from a previous run of this (conn,
-                // session) key must not merge into the current one.
-                if decoded.envelope.round != ws.epoch {
-                    metrics.orphan_frames(1);
-                    continue;
-                }
-                let merged = RoundPartialState::decode(ws.n, &decoded.envelope.payload)
-                    .and_then(|p| {
-                        let round = p.round();
-                        if round < ws.referee_round {
-                            // The referee already consumed this round —
-                            // impossible from a live sibling (each
-                            // emits once per round); defensive drop.
-                            metrics.orphan_frames(1);
-                            return Ok(());
-                        }
-                        let (acc, quorum) = ws
-                            .pending
-                            .remove(&round)
-                            .unwrap_or_else(|| (RoundPartialState::new(ws.n, round), 0));
-                        let mut acc = acc;
-                        acc.merge(p)?;
-                        ws.pending.insert(round, (acc, quorum + 1));
-                        Ok(())
+                    let referee = (self.index == 0).then(|| Referee {
+                        stepper: catalog
+                            .by_index(service as usize)
+                            .expect("the router validated the service")
+                            .open(n),
+                        round: 1,
+                        pending: BTreeMap::new(),
+                        needed: nonempty_shards(n, self.shards),
+                        round_opened: Instant::now(),
                     });
-                match merged {
-                    Ok(()) => {
-                        metrics.trace(
-                            session,
-                            trace_endpoint::worker(0),
-                            TraceKind::PartialMerge,
-                            u64::from(decoded.envelope.from),
-                        );
-                        if try_advance(session, ws, &otx, metrics) {
-                            sessions.remove(&(conn, session));
-                        }
+                    let mut ws = WorkerSession {
+                        conn,
+                        n,
+                        epoch,
+                        cap,
+                        range: self
+                            .owns_range
+                            .then(|| RangeState::new(n, self.shards, self.index, 1, cap)),
+                        referee,
+                        opened: Instant::now(),
+                    };
+                    // n = 0 is judged straight from the announce.
+                    if !self.advance(session, &mut ws) {
+                        sessions.insert((conn, session), ws);
                     }
-                    Err(e) => {
-                        send_mr_verdict(session, ws, Err(e), &otx, metrics);
+                }
+                MrMsg::Data { conn, env } => {
+                    let session = env.session.0;
+                    let Some(ws) = sessions.get_mut(&(conn, session)) else {
+                        self.metrics.orphan_frames(1);
+                        continue;
+                    };
+                    if self.uplink(session, ws, env) {
                         sessions.remove(&(conn, session));
                     }
                 }
-            }
-            MrMsg::Finish { conn, session } => {
-                sessions.remove(&(conn, session));
-            }
-            MrMsg::Retire { conn } => {
-                sessions.retain(|(owner, _), _| *owner != conn);
+                MrMsg::Partial(bytes) => {
+                    // Worker 0 only: authenticate and decode a sibling
+                    // shard's partial through the wire codec.
+                    let env = match decode_frame(self.exchange_key, &bytes) {
+                        Ok(Some(d)) if d.kind == FrameKind::Partial => d.envelope,
+                        Err(WireError::BadMac) => {
+                            self.metrics.mac_rejects(1);
+                            continue;
+                        }
+                        _ => {
+                            self.metrics.decode_rejects(1);
+                            continue;
+                        }
+                    };
+                    let key = (env.to, env.session.0);
+                    match sessions.get_mut(&key) {
+                        Some(ws) if env.round >> 1 == ws.epoch => {
+                            if self.partial(key.1, ws, &env) {
+                                sessions.remove(&key);
+                            }
+                        }
+                        // Finished or retired in flight, or a partial of
+                        // a previous run of this key.
+                        _ => self.metrics.orphan_frames(1),
+                    }
+                }
+                MrMsg::Finish { conn, session } => {
+                    sessions.remove(&(conn, session));
+                }
+                MrMsg::Retire { conn } => {
+                    sessions.retain(|(owner, _), _| *owner != conn);
+                }
             }
         }
     }
-}
 
-/// While this worker's current round shard is complete or poisoned,
-/// emit its partial toward the accumulator and open the next round.
-/// In practice the loop runs at most once per arrival burst — a freshly
-/// opened round with a non-empty range has no arrivals yet — and it
-/// always terminates: every iteration advances the round, and the cap
-/// guard stops runaway emission for sessions the referee has already
-/// judged past their cap.
-fn emit_ready_rounds(
-    index: usize,
-    session: u64,
-    ws: &mut MrSession,
-    tx0: &Option<Sender<MrMsg>>,
-    exchange_key: &AuthKey,
-    metrics: &WireMetrics,
-) {
-    loop {
-        if ws.shard.range().is_empty() {
-            // n = 0 (worker 0 only — Announce filters everyone else):
-            // there is nothing to emit, ever; the zero quorum in
-            // `try_advance` supplies the implied empty partials.
-            return;
-        }
-        if !(ws.shard.is_complete() || ws.shard.is_poisoned()) {
-            return;
-        }
-        if ws.shard.round() as usize > ws.cap {
-            return; // past the cap: the referee judges, nothing to emit
-        }
-        let next = RoundShard::new(ws.n, ws.shards, index, ws.shard.round() + 1);
-        let partial = std::mem::replace(&mut ws.shard, next).into_partial();
-        let round = partial.round();
-        metrics.trace(
-            session,
-            trace_endpoint::worker(index as u32),
-            TraceKind::PartialEmit,
-            u64::from(round),
-        );
-        match tx0 {
-            Some(tx) => {
-                let payload = partial.encode();
-                let body = crate::frame::HEADER_BYTES
-                    + payload.len_bits().div_ceil(8)
-                    + crate::frame::TAG_BYTES;
-                if body > crate::frame::MAX_BODY_BYTES {
-                    // A partial beyond the frame cap (a session far
-                    // outside frugal message sizes) is dropped; the
-                    // session starves and the client's round deadline
-                    // rejects it — never a worker panic.
-                    metrics.decode_rejects(1);
-                    return;
-                }
-                let env = Envelope {
-                    session: SessionId(session),
-                    round: ws.epoch,
-                    from: index as u32,
-                    to: ws.conn,
-                    payload,
-                };
-                metrics.partial_frames(1);
-                let _ = tx.send(MrMsg::Partial(encode_wire_frame(
-                    exchange_key,
-                    FrameKind::Partial,
-                    &env,
-                )));
-            }
-            None => {
-                let (mut acc, quorum) = ws
-                    .pending
-                    .remove(&round)
-                    .unwrap_or_else(|| (RoundPartialState::new(ws.n, round), 0));
-                if let Err(e) = acc.merge(partial) {
-                    unreachable!("same-n same-round partials always merge: {e}");
-                }
-                ws.pending.insert(round, (acc, quorum + 1));
-            }
-        }
-    }
-}
-
-/// Worker 0: consume every round whose quorum is complete (or whose
-/// accumulator is poisoned — no further partial can turn an `Err` into
-/// an `Ok`), stepping the referee in round order. Returns whether the
-/// session is done (verdict sent).
-fn try_advance(session: u64, ws: &mut MrSession, otx: &OutTx, metrics: &WireMetrics) -> bool {
-    loop {
-        if ws.referee_round as usize > ws.cap {
-            send_mr_verdict(
-                session,
-                ws,
-                Err(DecodeError::Invalid(format!(
-                    "no verdict within the {}-round cap",
-                    ws.cap
-                ))),
-                otx,
-                metrics,
-            );
-            return true;
-        }
-        let round = ws.referee_round;
-        let (acc, quorum) = ws
-            .pending
-            .remove(&round)
-            .unwrap_or_else(|| (RoundPartialState::new(ws.n, round), 0));
-        if quorum < ws.needed && !acc.poisoned() {
-            ws.pending.insert(round, (acc, quorum));
+    /// Ingest one routed uplink, ship whatever it made ready, and (on
+    /// worker 0) step. Returns whether the session is judged.
+    fn uplink(&self, session: u64, ws: &mut WorkerSession, env: Envelope) -> bool {
+        let Some(range) = ws.range.as_mut() else {
+            self.metrics.orphan_frames(1);
             return false;
+        };
+        let Ingested { proof, notice } =
+            match range.ingest(env.round, env.from, env.payload.clone()) {
+                Ok(ingested) => ingested,
+                Err(_) => {
+                    // Router/worker range disagreement — a bug, not
+                    // wire data; surfaced in metrics.
+                    self.metrics.decode_rejects(1);
+                    return false;
+                }
+            };
+        if let Some(proof) = proof {
+            self.evidence(session, ws, &proof, &env);
         }
-        metrics.record_stage(Stage::PartialMerge, ws.round_opened.elapsed());
-        match acc.finish() {
-            Err(e) => {
-                send_mr_verdict(session, ws, Err(e), otx, metrics);
+        if let Some(notice) = notice {
+            // A poison notice is a few bits — never oversized.
+            self.ship(session, ws.conn, ws.epoch, ws.referee.as_mut(), &notice, false);
+        }
+        if let Some(partial) = ws.range.as_mut().and_then(RangeState::take_ready) {
+            self.metrics.trace(
+                session,
+                trace_endpoint::worker(self.index as u32),
+                TraceKind::PartialEmit,
+                u64::from(partial.round()),
+            );
+            if !self.ship(session, ws.conn, ws.epoch, ws.referee.as_mut(), partial, true) {
+                let e = DecodeError::Invalid("shard partial exceeds the wire frame cap".into());
+                self.verdict(session, ws, Err(e));
                 return true;
             }
-            Ok(uplinks) => {
-                let stepper = ws.stepper.as_mut().expect("worker 0 owns the referee");
-                let stepped = Instant::now();
-                let step = stepper.step(ws.n, round as usize, &uplinks);
-                metrics.record_stage(Stage::RefereeStep, stepped.elapsed());
-                metrics.trace(
+        }
+        self.advance(session, ws)
+    }
+
+    /// Worker 0: merge one sibling's partial frame. Returns whether the
+    /// session is judged.
+    fn partial(&self, session: u64, ws: &mut WorkerSession, env: &Envelope) -> bool {
+        let referee = ws.referee.as_mut().expect("partials are addressed to worker 0");
+        let quorum = env.round & 1 == 0;
+        let merged = RoundPartialState::decode(ws.n, &env.payload)
+            .and_then(|p| referee.absorb(p, quorum));
+        match merged {
+            Ok(true) => {
+                self.metrics.trace(
                     session,
                     trace_endpoint::worker(0),
-                    TraceKind::RefereeStep,
-                    u64::from(round),
+                    TraceKind::PartialMerge,
+                    u64::from(env.from),
                 );
-                match step {
-                    RefereeStep::Done(out) => {
-                        send_mr_verdict(session, ws, Ok(out), otx, metrics);
-                        return true;
-                    }
-                    RefereeStep::Continue(downlinks) => {
-                        if downlinks.len() != ws.n {
-                            send_mr_verdict(
-                                session,
-                                ws,
-                                Err(DecodeError::Inconsistent(format!(
-                                    "referee produced {} downlinks for {} nodes",
-                                    downlinks.len(),
-                                    ws.n
-                                ))),
-                                otx,
-                                metrics,
-                            );
-                            return true;
-                        }
-                        otx.send(MrOutbound::Downlinks {
-                            conn: ws.conn,
-                            session: SessionId(session),
-                            round,
-                            msgs: downlinks,
-                        });
-                        ws.referee_round += 1;
-                        ws.round_opened = Instant::now();
-                    }
-                }
+                self.advance(session, ws)
+            }
+            Ok(false) => {
+                self.metrics.orphan_frames(1);
+                false
+            }
+            Err(e) => {
+                // A partial that does not decode or merge fails the
+                // session closed.
+                self.verdict(session, ws, Err(e));
+                true
             }
         }
     }
-}
 
-fn send_mr_verdict(
-    session: u64,
-    ws: &MrSession,
-    result: Result<Message, DecodeError>,
-    otx: &OutTx,
-    metrics: &WireMetrics,
-) {
-    metrics.record_stage(Stage::Verdict, ws.opened.elapsed());
-    metrics.verdict_frames(1);
-    otx.send(MrOutbound::Verdict {
-        conn: ws.conn,
-        session: SessionId(session),
-        payload: encode_mr_verdict(&result),
-    });
+    /// Route a partial toward the accumulator: worker 0 merges in place,
+    /// everyone else ships a MAC'd [`FrameKind::Partial`] frame stamped
+    /// `(epoch << 1) | poison_bit` (see [`MrMsg::Partial`]). `false` if
+    /// the partial is too large for the frame cap — the caller fails the
+    /// session rather than panic a worker.
+    fn ship(
+        &self,
+        session: u64,
+        conn: u32,
+        epoch: u32,
+        referee: Option<&mut Referee>,
+        partial: &RoundPartialState,
+        quorum: bool,
+    ) -> bool {
+        if let Some(referee) = referee {
+            match referee.absorb(partial.clone(), quorum) {
+                Ok(true) => {}
+                Ok(false) => self.metrics.orphan_frames(1),
+                Err(e) => unreachable!("same-n partials always merge: {e}"),
+            }
+            return true;
+        }
+        let payload = partial.encode();
+        if !fits_frame(&payload) {
+            return false;
+        }
+        let env = Envelope {
+            session: SessionId(session),
+            round: (epoch << 1) | u32::from(!quorum),
+            from: self.index as u32,
+            to: conn,
+            payload,
+        };
+        if quorum {
+            self.metrics.partial_frames(1);
+        }
+        let tx0 = self.tx0.as_ref().expect("every worker but 0 holds worker 0's inbox");
+        let _ = tx0.send(MrMsg::Partial(encode_wire_frame(
+            self.exchange_key,
+            FrameKind::Partial,
+            &env,
+        )));
+        true
+    }
+
+    /// Worker 0: step every round whose quorum is merged — or whose
+    /// accumulator is poisoned, which no further partial can turn into
+    /// an `Ok` — in round order. Returns whether the session is judged
+    /// (verdict sent).
+    fn advance(&self, session: u64, ws: &mut WorkerSession) -> bool {
+        let Some(referee) = ws.referee.as_mut() else { return false };
+        let result = loop {
+            let round = referee.round;
+            if round > ws.cap {
+                break Err(DecodeError::Invalid(format!(
+                    "no verdict within the {}-round cap",
+                    ws.cap
+                )));
+            }
+            let ready = referee
+                .pending
+                .get(&round)
+                .map_or(referee.needed == 0, |(acc, q)| *q >= referee.needed || acc.poisoned());
+            if !ready {
+                return false;
+            }
+            let (acc, _) = referee
+                .pending
+                .remove(&round)
+                .unwrap_or_else(|| (RoundPartialState::new(ws.n, round), 0));
+            self.metrics.record_stage(Stage::PartialMerge, referee.round_opened.elapsed());
+            let uplinks = match acc.finish() {
+                Ok(uplinks) => uplinks,
+                Err(e) => break Err(e),
+            };
+            let stepped = Instant::now();
+            let step = referee.stepper.step(ws.n, round as usize, &uplinks);
+            self.metrics.record_stage(Stage::RefereeStep, stepped.elapsed());
+            self.metrics.trace(
+                session,
+                trace_endpoint::worker(0),
+                TraceKind::RefereeStep,
+                u64::from(round),
+            );
+            match step {
+                RefereeStep::Done(out) => break Ok(out),
+                RefereeStep::Continue(downlinks) if downlinks.len() != ws.n => {
+                    break Err(DecodeError::Inconsistent(format!(
+                        "referee produced {} downlinks for {} nodes",
+                        downlinks.len(),
+                        ws.n
+                    )));
+                }
+                RefereeStep::Continue(msgs) => {
+                    self.otx.send(MrOutbound::Downlinks {
+                        conn: ws.conn,
+                        session: SessionId(session),
+                        round,
+                        msgs,
+                    });
+                    referee.round += 1;
+                    referee.round_opened = Instant::now();
+                }
+            }
+        };
+        self.verdict(session, ws, result);
+        true
+    }
+
+    fn verdict(&self, session: u64, ws: &WorkerSession, result: Result<Message, DecodeError>) {
+        self.metrics.record_stage(Stage::Verdict, ws.opened.elapsed());
+        self.metrics.verdict_frames(1);
+        self.otx.send(MrOutbound::Verdict {
+            conn: ws.conn,
+            session: SessionId(session),
+            payload: encode_mr_verdict(&result),
+        });
+    }
+
+    /// Ship the evidence bundle `proof` makes of `env` client-ward
+    /// (ahead of any verdict it causes — the outbound channel is FIFO).
+    fn evidence(&self, session: u64, ws: &WorkerSession, proof: &Proof, env: &Envelope) {
+        let params = SessionParams { session, n: ws.n as u32, round_cap: ws.cap };
+        let endpoint = trace_endpoint::worker(self.index as u32);
+        let Some(bundle) =
+            build_evidence(self.base, ws.conn, params, proof, env, endpoint, self.metrics)
+        else {
+            return;
+        };
+        self.otx.send(MrOutbound::Evidence {
+            conn: ws.conn,
+            session: SessionId(session),
+            from: bundle.accused.unwrap_or(0),
+            payload: bundle.encode(),
+        });
+    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Cross-host shard placement: shard workers as first-class network
 //! peers.
 //!
-//! The sharded referee services ([`crate::shard`], [`crate::multiround`])
-//! already push every cross-shard partial through the full MAC'd wire
+//! The referee service ([`crate::multiround`]) already pushes every
+//! cross-shard partial through the full MAC'd wire
 //! codec — this module swaps the in-process channel under that codec for
 //! a real socket, so shards can live on separate hosts:
 //!
@@ -19,11 +19,13 @@
 //! * [`ShardHost`] is the remote worker role: it accepts coordinator
 //!   connections, each registered as one shard of a placement by a
 //!   MAC'd [`Register`](FrameKind::Register) handshake, ingests routed
-//!   uplinks into [`RefereeShard`]/[`RoundShard`] states, and ships
-//!   [`Partial`](FrameKind::Partial) frames back over the same
-//!   authenticated codec the rest of the system speaks.
+//!   uplinks into the same `shard::RangeState` the in-process workers drive
+//!   (every service, one-round included, under the round cap its
+//!   announce carries), and ships [`Partial`](FrameKind::Partial) frames
+//!   back over the same authenticated codec the rest of the system
+//!   speaks.
 //! * The coordinator runs one **proxy** per shard (spawned by the
-//!   remote server modes in [`crate::fleet`]): it forwards the router's
+//!   remote server mode in [`crate::multiround`]): it forwards the router's
 //!   traffic to its shard host, journals everything a live shard may
 //!   still need ([`ShardJournal`]), and on disconnect redials,
 //!   re-registers and replays — so a shard-host kill/restart is
@@ -55,22 +57,24 @@
 //! whose round has not yet produced a merged partial
 //! ([`ShardJournal`]); a partial's arrival commits its round and prunes
 //! the journal. On redial the proxy bumps the generation, re-registers,
-//! re-announces every uncommitted session at its
+//! re-announces every live session at its
 //! [`resume_round`](ShardJournal::resume_round) and replays the
 //! journal. Because shards are deterministic in their inputs, the
 //! rebuilt shard re-emits bit-identical partials — verdicts are
 //! unchanged by any kill/restart schedule that eventually lets the
-//! fleet drain.
+//! fleet drain. An uplink for an already-committed round is a repeat or
+//! a stray by definition; the proxy turns it into the poison notice
+//! itself, so the fail-fast verdict never depends on host liveness.
 
 use crate::auth::AuthKey;
-use crate::frame::{
-    encode_wire_frame, FrameKind, WireError, HEADER_BYTES, MAX_BODY_BYTES, TAG_BYTES,
-};
+use crate::frame::{encode_wire_frame, fits_frame, FrameKind, WireError};
 use crate::metrics::{trace_endpoint, Stage, WireMetrics, WireSnapshot};
+use crate::multiround::MrMsg;
 use crate::reactor::{Conn, SCRATCH_BYTES, WRITE_BACKPRESSURE_BYTES};
-use referee_protocol::shard::multiround::{RoundPartialState, RoundShard};
+use crate::shard::{Ingested, RangeState};
+use referee_protocol::shard::multiround::RoundPartialState;
 use referee_protocol::shard::replay::{decode_resume, encode_resume, Recorded, ShardJournal};
-use referee_protocol::shard::{shard_range, Arrival, PartialState, RefereeShard};
+use referee_protocol::shard::shard_range;
 use referee_protocol::trace::{TraceKind, TraceSnapshot};
 use referee_protocol::{BitWriter, DecodeError, Message};
 use referee_simnet::{Envelope, SessionId};
@@ -154,26 +158,10 @@ pub fn link_key_path(index: usize, generation: u32) -> Vec<u64> {
     vec![PLACEMENT_TWEAK, index as u64, u64::from(generation)]
 }
 
-/// Which referee service a shard-host link serves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardHostMode {
-    /// One-round assembly: [`RefereeShard`] per session.
-    OneRound,
-    /// Multi-round assembly: a [`RoundShard`] per session, advanced
-    /// round by round.
-    MultiRound,
-}
-
-/// Serialize a [`Register`](FrameKind::Register) payload: mode:8,
-/// shard index:32, shard count:32, registration generation:32.
-fn encode_register(
-    mode: ShardHostMode,
-    index: usize,
-    shards: usize,
-    generation: u32,
-) -> Message {
+/// Serialize a [`Register`](FrameKind::Register) payload: shard
+/// index:32, shard count:32, registration generation:32.
+fn encode_register(index: usize, shards: usize, generation: u32) -> Message {
     let mut w = BitWriter::new();
-    w.write_bits(matches!(mode, ShardHostMode::MultiRound) as u64, 8);
     w.write_bits(index as u64, 32);
     w.write_bits(shards as u64, 32);
     w.write_bits(generation as u64, 32);
@@ -181,13 +169,8 @@ fn encode_register(
 }
 
 /// Inverse of [`encode_register`], validating the exact layout.
-fn decode_register(msg: &Message) -> Result<(ShardHostMode, usize, usize, u32), DecodeError> {
+fn decode_register(msg: &Message) -> Result<(usize, usize, u32), DecodeError> {
     let mut r = msg.reader();
-    let mode = match r.read_bits(8)? {
-        0 => ShardHostMode::OneRound,
-        1 => ShardHostMode::MultiRound,
-        m => return Err(DecodeError::Invalid(format!("unknown shard-host mode {m}"))),
-    };
     let index = r.read_bits(32)? as usize;
     let shards = r.read_bits(32)? as usize;
     let generation = r.read_bits(32)? as u32;
@@ -199,7 +182,7 @@ fn decode_register(msg: &Message) -> Result<(ShardHostMode, usize, usize, u32), 
             "registration of shard {index}/{shards} generation {generation}"
         )));
     }
-    Ok((mode, index, shards, generation))
+    Ok((index, shards, generation))
 }
 
 /// Encode the [`Register`](FrameKind::Register) handshake frame a
@@ -207,13 +190,7 @@ fn decode_register(msg: &Message) -> Result<(ShardHostMode, usize, usize, u32), 
 /// [`registration_key`]. After sending it, switch the link to
 /// [`link_key`]`(base, index, generation)`. Exposed for tests and
 /// alternative coordinator implementations.
-pub fn register_frame(
-    base: &AuthKey,
-    mode: ShardHostMode,
-    index: usize,
-    shards: usize,
-    generation: u32,
-) -> Vec<u8> {
+pub fn register_frame(base: &AuthKey, index: usize, shards: usize, generation: u32) -> Vec<u8> {
     encode_wire_frame(
         &registration_key(base),
         FrameKind::Register,
@@ -222,14 +199,9 @@ pub fn register_frame(
             round: generation,
             from: index as u32,
             to: 0,
-            payload: encode_register(mode, index, shards, generation),
+            payload: encode_register(index, shards, generation),
         },
     )
-}
-
-/// Whether a partial payload fits the wire codec's frame cap.
-fn fits_frame(payload: &Message) -> bool {
-    HEADER_BYTES + payload.len_bits().div_ceil(8) + TAG_BYTES <= MAX_BODY_BYTES
 }
 
 // ---------------------------------------------------------------------------
@@ -398,7 +370,8 @@ impl Drop for ShardHost {
 /// One registered coordinator link on a shard host.
 struct HostLink {
     conn: Conn,
-    role: Option<(ShardHostMode, usize, usize)>,
+    /// `(shard index, shard count)` once registered.
+    role: Option<(usize, usize)>,
     /// Shard state keyed by (coordinator client-connection id, session).
     sessions: HashMap<(u32, u64), HostSession>,
     /// Flight-recorder watermark: events below this sequence were
@@ -408,17 +381,14 @@ struct HostLink {
     shipped_seq: u64,
 }
 
-/// Per-session shard state on a host. `opened` is when the current
-/// range wait began (the announce, or the previous multi-round emit) —
-/// the zero point for the host's uplinks-complete stage histogram.
-enum HostSession {
-    /// One-round: `None` once the range partial shipped (later arrivals
-    /// are by definition duplicates or strays — reported as poison
-    /// notices so the session fails fast, exactly like the in-process
-    /// worker).
-    One { n: usize, epoch: u32, shard: Option<RefereeShard>, opened: Instant },
-    /// Multi-round: the round currently collecting, advanced on emit.
-    Multi { n: usize, epoch: u32, shard: RoundShard, cap: usize, opened: Instant },
+/// Per-session shard state on a host: the same [`RangeState`] the
+/// in-process workers drive. `opened` is when the current range wait
+/// began (the announce, or the previous emit) — the zero point for the
+/// host's uplinks-complete stage histogram.
+struct HostSession {
+    epoch: u32,
+    range: RangeState,
+    opened: Instant,
 }
 
 /// The shard-host accept/pump loop.
@@ -479,7 +449,7 @@ fn run_shard_host(
                         // Wrong base key, a sibling shard's key, or a
                         // stale-generation frame: fail the link closed.
                         metrics.mac_rejects(1);
-                        if let Some((_, index, _)) = link.role {
+                        if let Some((index, _)) = link.role {
                             let ep = trace_endpoint::shard_host(index as u32);
                             metrics.trace(0, ep, TraceKind::MacReject, 0);
                         }
@@ -512,13 +482,13 @@ fn host_frame(
     base: &AuthKey,
     metrics: &WireMetrics,
 ) -> Result<(), ()> {
-    let Some((mode, index, shards)) = link.role else {
+    let Some((index, shards)) = link.role else {
         // The registration handshake must come first — and only once.
-        let (mode, index, shards, generation) = match kind {
+        let (index, shards, generation) = match kind {
             FrameKind::Register => decode_register(&env.payload).map_err(|_| ())?,
             _ => return Err(()),
         };
-        link.role = Some((mode, index, shards));
+        link.role = Some((index, shards));
         link.conn.set_key(link_key(base, index, generation));
         let ep = trace_endpoint::shard_host(index as u32);
         link.conn.trace_with(metrics.recorder_arc(), ep);
@@ -529,84 +499,48 @@ fn host_frame(
     match kind {
         FrameKind::Announce => {
             let (n, resume, cap) = decode_resume(&env.payload).map_err(|_| ())?;
-            let conn = env.from;
-            let session = env.session.0;
-            let epoch = env.round;
-            metrics.trace(session, endpoint, TraceKind::Announce, n as u64);
-            let hs = match mode {
-                ShardHostMode::OneRound => HostSession::One {
-                    n,
-                    epoch,
-                    shard: Some(RefereeShard::new(n, shards, index)),
-                    opened: Instant::now(),
-                },
-                ShardHostMode::MultiRound => {
-                    if shard_range(n, shards, index).is_empty() {
-                        // Empty ranges never receive data and never
-                        // emit — their per-round partials are implied.
-                        return Ok(());
-                    }
-                    HostSession::Multi {
-                        n,
-                        epoch,
-                        shard: RoundShard::new(n, shards, index, resume),
-                        cap: cap as usize,
-                        opened: Instant::now(),
-                    }
-                }
-            };
-            // A re-announce of a live key only happens when the
-            // coordinator re-registered (its journal replay is about to
-            // rebuild the state): start fresh.
-            link.sessions.insert((conn, session), hs);
-            emit_ready(link, (conn, session), index, shards, metrics);
+            metrics.trace(env.session.0, endpoint, TraceKind::Announce, n as u64);
+            // Empty ranges never receive data and never emit — their
+            // per-round partials are implied at the accumulator.
+            if !shard_range(n, shards, index).is_empty() {
+                // A re-announce of a live key only happens when the
+                // coordinator re-registered (its journal replay is about
+                // to rebuild the state): start fresh.
+                let range = RangeState::new(n, shards, index, resume, cap);
+                let hs = HostSession { epoch: env.round, range, opened: Instant::now() };
+                link.sessions.insert((env.from, env.session.0), hs);
+            }
             Ok(())
         }
         FrameKind::Data => {
-            let key = (env.to, env.session.0);
-            let Some(hs) = link.sessions.get_mut(&key) else {
+            let HostLink { conn, sessions, .. } = link;
+            let Some(hs) = sessions.get_mut(&(env.to, env.session.0)) else {
                 metrics.orphan_frames(1); // finished or retired in flight
                 return Ok(());
             };
             metrics.trace(env.session.0, endpoint, TraceKind::Uplink, u64::from(env.from));
-            match hs {
-                HostSession::One { n, epoch, shard, .. } => match shard.as_mut() {
-                    Some(s) => match s.ingest(env.from, env.payload) {
-                        Ok(Arrival::Fresh) | Ok(Arrival::OutOfRange) => {}
-                        Ok(Arrival::Duplicate { .. }) => s.note_duplicate(env.from),
-                        Err(_) => {
-                            // Coordinator/host range disagreement — a
-                            // bug, not wire data.
-                            metrics.decode_rejects(1);
-                            return Ok(());
-                        }
-                    },
-                    None => {
-                        // The range partial already shipped: this is a
-                        // duplicate or stray — report it so the session
-                        // fails fast instead of wedging a sibling.
-                        metrics.trace(
-                            env.session.0,
-                            endpoint,
-                            TraceKind::Poison,
-                            u64::from(env.from),
-                        );
-                        let poison = PartialState::poison_notice(*n, env.from);
-                        let round = (*epoch << 1) | 1;
-                        queue_partial(
-                            &mut link.conn,
-                            env.session,
-                            round,
-                            index,
-                            env.to,
-                            &poison.encode(),
-                            metrics,
-                        );
-                    }
-                },
-                HostSession::Multi { n, shard, .. } => mr_ingest(*n, shard, &env, metrics),
+            let (session, cconn, from) = (env.session, env.to, env.from);
+            match hs.range.ingest(env.round, from, env.payload) {
+                Ok(Ingested { notice: Some(notice), .. }) => {
+                    // A fault for a round this range already shipped:
+                    // report it so the session fails fast instead of
+                    // wedging a sibling.
+                    metrics.trace(session.0, endpoint, TraceKind::Poison, u64::from(from));
+                    let round = (hs.epoch << 1) | 1;
+                    queue_partial(conn, session, round, index, cconn, notice.encode(), metrics);
+                }
+                Ok(_) => {}
+                // Coordinator/host range disagreement — a bug, not wire
+                // data.
+                Err(_) => metrics.decode_rejects(1),
             }
-            emit_ready(link, key, index, shards, metrics);
+            if let Some(partial) = hs.range.take_ready() {
+                metrics.record_stage(Stage::UplinksComplete, hs.opened.elapsed());
+                hs.opened = Instant::now();
+                metrics.partial_frames(1);
+                let round = hs.epoch << 1;
+                queue_partial(conn, session, round, index, cconn, partial.encode(), metrics);
+            }
             Ok(())
         }
         FrameKind::Finish => {
@@ -653,102 +587,25 @@ fn ship_trace(link: &mut HostLink, index: usize, metrics: &WireMetrics) {
     link.conn.queue_frame(FrameKind::Trace, &env);
 }
 
-/// Multi-round ingest, mirroring the in-process worker's round rules.
-fn mr_ingest(n: usize, shard: &mut RoundShard, env: &Envelope, metrics: &WireMetrics) {
-    if env.from == 0 || env.from as usize > n {
-        // Out-of-range stray: poisons whatever round is collecting.
-        let _ = shard.ingest(env.from, env.payload.clone());
-    } else if env.round == shard.round() {
-        match shard.ingest(env.from, env.payload.clone()) {
-            Ok(Arrival::Fresh) | Ok(Arrival::OutOfRange) => {}
-            Ok(Arrival::Duplicate { .. }) => shard.note_duplicate(env.from),
-            Err(_) => metrics.decode_rejects(1),
-        }
-    } else if env.round < shard.round() {
-        // Committed history — the referee consumed that round.
-        metrics.orphan_frames(1);
-    } else {
-        // An uplink for a round whose downlinks were never issued:
-        // poison the current round so the session fails fast.
-        shard.note_duplicate(env.from);
-    }
-}
-
-/// Emit whatever this session's shard state has ready: the one-round
-/// range partial once complete/poisoned, or every consecutive complete
-/// multi-round partial (advancing the round each time).
-fn emit_ready(
-    link: &mut HostLink,
-    key: (u32, u64),
-    index: usize,
-    shards: usize,
-    metrics: &WireMetrics,
-) {
-    let Some(hs) = link.sessions.get_mut(&key) else { return };
-    let (conn, session) = key;
-    match hs {
-        HostSession::One { epoch, shard, opened, .. } => {
-            let ready = shard.as_ref().is_some_and(|s| s.is_complete() || s.is_poisoned());
-            if !ready {
-                return;
-            }
-            metrics.record_stage(Stage::UplinksComplete, opened.elapsed());
-            let partial = shard.take().expect("checked above").into_partial();
-            let round = *epoch << 1;
-            queue_partial(
-                &mut link.conn,
-                SessionId(session),
-                round,
-                index,
-                conn,
-                &partial.encode(),
-                metrics,
-            );
-        }
-        HostSession::Multi { n, epoch, shard, cap, opened } => loop {
-            if shard.range().is_empty() || !(shard.is_complete() || shard.is_poisoned()) {
-                return;
-            }
-            if shard.round() as usize > *cap {
-                return; // past the cap: the referee judges server-side
-            }
-            metrics.record_stage(Stage::UplinksComplete, opened.elapsed());
-            *opened = Instant::now();
-            let next = RoundShard::new(*n, shards, index, shard.round() + 1);
-            let partial = std::mem::replace(shard, next).into_partial();
-            queue_partial(
-                &mut link.conn,
-                SessionId(session),
-                *epoch,
-                index,
-                conn,
-                &partial.encode(),
-                metrics,
-            );
-        },
-    }
-}
-
-/// Queue one `Partial` frame on a shard-host link (dropping payloads
-/// beyond the frame cap — the session then starves and the client's
-/// deadline rejects it, never a host panic).
+/// Queue one `Partial` frame on a shard-host link, stamped `round` =
+/// `(epoch << 1) | poison_bit` (dropping payloads beyond the frame cap —
+/// the session then starves and the client's deadline rejects it, never
+/// a host panic).
 fn queue_partial(
     conn: &mut Conn,
     session: SessionId,
     round: u32,
     index: usize,
     cconn: u32,
-    payload: &Message,
+    payload: Message,
     metrics: &WireMetrics,
 ) {
-    if !fits_frame(payload) {
+    if !fits_frame(&payload) {
         metrics.decode_rejects(1);
         return;
     }
-    let env =
-        Envelope { session, round, from: index as u32, to: cconn, payload: payload.clone() };
+    let env = Envelope { session, round, from: index as u32, to: cconn, payload };
     metrics.frames_sent(1);
-    metrics.partial_frames(1);
     metrics.trace(
         session.0,
         trace_endpoint::shard_host(index as u32),
@@ -764,45 +621,8 @@ fn queue_partial(
 // Coordinator-side proxy
 // ---------------------------------------------------------------------------
 
-/// Router traffic as the proxy consumes it (adapters in
-/// [`crate::shard`]/[`crate::multiround`] convert their channel enums).
-pub(crate) enum ProxyEvent {
-    /// A session opened on the coordinator.
-    Announce {
-        /// Coordinator client-connection id.
-        conn: u32,
-        /// Session id on that connection.
-        session: u64,
-        /// Network size.
-        n: usize,
-        /// The session's announce epoch (fences stale partials at the
-        /// accumulator).
-        epoch: u32,
-    },
-    /// A routed uplink for this shard's range.
-    Data {
-        /// Coordinator client-connection id.
-        conn: u32,
-        /// The authenticated envelope as received from the client.
-        env: Envelope,
-    },
-    /// The session was judged — drop and tell the host.
-    Finish {
-        /// Coordinator client-connection id.
-        conn: u32,
-        /// Session id on that connection.
-        session: u64,
-    },
-    /// A client connection died — drop all of its sessions.
-    Retire {
-        /// Coordinator client-connection id.
-        conn: u32,
-    },
-}
-
 /// Everything a proxy needs to serve one shard remotely.
 pub(crate) struct ProxyConfig<'a> {
-    pub mode: ShardHostMode,
     pub index: usize,
     pub shards: usize,
     pub base: &'a AuthKey,
@@ -831,12 +651,10 @@ struct ProxySession {
 /// host, journals for replay, redials on disconnect, and pipes the
 /// host's partials (re-MAC'd under the exchange key) to the
 /// accumulator. Runs until its event channel disconnects.
-pub(crate) fn run_proxy<M: Send>(
+pub(crate) fn run_proxy(
     cfg: ProxyConfig<'_>,
-    rx: Receiver<M>,
-    to_event: impl Fn(M) -> Option<ProxyEvent>,
+    rx: Receiver<MrMsg>,
     send_partial: impl Fn(Vec<u8>),
-    round_cap: impl Fn(usize) -> usize,
 ) {
     let host = cfg.placement.policy().host_of_shard(cfg.index);
     let mut link: Option<Conn> = None;
@@ -849,22 +667,9 @@ pub(crate) fn run_proxy<M: Send>(
         // doesn't spin).
         match rx.recv_timeout(Duration::from_micros(200)) {
             Ok(m) => {
-                let mut next = Some(m);
-                loop {
-                    if let Some(ev) = next.take().and_then(&to_event) {
-                        proxy_event(
-                            &cfg,
-                            ev,
-                            &mut sessions,
-                            &mut link,
-                            &round_cap,
-                            &send_partial,
-                        );
-                    }
-                    match rx.try_recv() {
-                        Ok(m) => next = Some(m),
-                        Err(_) => break,
-                    }
+                proxy_event(&cfg, m, &mut sessions, &mut link, &send_partial);
+                while let Ok(m) = rx.try_recv() {
+                    proxy_event(&cfg, m, &mut sessions, &mut link, &send_partial);
                 }
             }
             Err(RecvTimeoutError::Timeout) => {}
@@ -886,8 +691,8 @@ pub(crate) fn run_proxy<M: Send>(
 }
 
 /// Dial the shard host, register generation `generation + 1`, and
-/// replay every uncommitted session from the journal (round caps were
-/// fixed at announce time; replay reuses the stored ones).
+/// replay every session from the journal at its resume round (round
+/// caps were fixed at announce time; replay reuses the stored ones).
 fn dial(
     cfg: &ProxyConfig<'_>,
     host: HostId,
@@ -910,15 +715,12 @@ fn dial(
             round: *generation,
             from: cfg.index as u32,
             to: 0,
-            payload: encode_register(cfg.mode, cfg.index, cfg.shards, *generation),
+            payload: encode_register(cfg.index, cfg.shards, *generation),
         },
     );
     conn.set_key(link_key(cfg.base, cfg.index, *generation));
     cfg.metrics.shard_reconnects(1);
     for ((cconn, session), ps) in sessions {
-        if matches!(cfg.mode, ShardHostMode::OneRound) && ps.journal.committed() {
-            continue; // the range partial already merged; nothing to rebuild
-        }
         conn.queue_frame(
             FrameKind::Announce,
             &Envelope {
@@ -951,113 +753,91 @@ fn dial(
 /// Apply one router event: journal, forward, or synthesize.
 fn proxy_event(
     cfg: &ProxyConfig<'_>,
-    ev: ProxyEvent,
+    msg: MrMsg,
     sessions: &mut HashMap<(u32, u64), ProxySession>,
     link: &mut Option<Conn>,
-    round_cap: &impl Fn(usize) -> usize,
     send_partial: &impl Fn(Vec<u8>),
 ) {
-    match ev {
-        ProxyEvent::Announce { conn, session, n, epoch } => {
-            let cap = round_cap(n) as u32;
-            cfg.metrics.trace(session, cfg.endpoint(), TraceKind::Announce, n as u64);
-            sessions.insert(
-                (conn, session),
-                ProxySession { journal: ShardJournal::new(n), epoch, cap },
-            );
-            if let Some(c) = link.as_mut().filter(|c| c.is_open()) {
-                c.queue_frame(
-                    FrameKind::Announce,
-                    &Envelope {
-                        session: SessionId(session),
-                        round: epoch,
-                        from: conn,
-                        to: 0,
-                        payload: encode_resume(n, 1, cap),
-                    },
-                );
-                c.flush();
-            }
+    let mut forward = |kind: FrameKind, env: &Envelope| {
+        if let Some(c) = link.as_mut().filter(|c| c.is_open()) {
+            c.queue_frame(kind, env);
+            c.flush();
         }
-        ProxyEvent::Data { conn, env } => {
+        // Not yet on the wire? The journal has it — the next (re)dial
+        // replays it.
+    };
+    match msg {
+        MrMsg::Announce { conn, session, n, epoch, cap, .. } => {
+            cfg.metrics.trace(session, cfg.endpoint(), TraceKind::Announce, n as u64);
+            let journal = ShardJournal::new(n);
+            sessions.insert((conn, session), ProxySession { journal, epoch, cap });
+            let payload = encode_resume(n, 1, cap);
+            let env = Envelope {
+                session: SessionId(session),
+                round: epoch,
+                from: conn,
+                to: 0,
+                payload,
+            };
+            forward(FrameKind::Announce, &env);
+        }
+        MrMsg::Data { conn, env } => {
             let Some(ps) = sessions.get_mut(&(conn, env.session.0)) else {
                 cfg.metrics.orphan_frames(1); // judged or retired in flight
                 return;
             };
-            match cfg.mode {
-                ShardHostMode::OneRound if ps.journal.committed() => {
-                    // The range partial already merged, so this arrival
-                    // is a duplicate or stray by definition. Synthesize
-                    // the poison notice *here* — the shard host may not
-                    // even hold the session any more (e.g. it restarted
-                    // and committed sessions are not replayed), and the
-                    // fail-fast verdict must not depend on host
-                    // liveness.
-                    let poison = PartialState::poison_notice(ps.journal.n(), env.from);
+            match ps.journal.record(env.round, env.from, env.payload.clone()) {
+                Recorded::Forward => forward(FrameKind::Data, &Envelope { to: conn, ..env }),
+                Recorded::Stale => {
+                    // The round's partial already merged, so this
+                    // arrival is a repeat or a stray by definition.
+                    // Synthesize the poison notice *here* — the shard
+                    // host no longer holds that round (it may even have
+                    // restarted since), and the fail-fast verdict must
+                    // not depend on host liveness.
                     cfg.metrics.trace(
                         env.session.0,
                         cfg.endpoint(),
                         TraceKind::Poison,
                         u64::from(env.from),
                     );
-                    let notice = Envelope {
+                    let notice =
+                        RoundPartialState::poison_notice(ps.journal.n(), env.round, env.from);
+                    let env = Envelope {
                         session: env.session,
                         round: (ps.epoch << 1) | 1,
                         from: cfg.index as u32,
                         to: conn,
-                        payload: poison.encode(),
+                        payload: notice.encode(),
                     };
-                    send_partial(encode_wire_frame(
-                        cfg.exchange_key,
-                        FrameKind::Partial,
-                        &notice,
-                    ));
+                    send_partial(encode_wire_frame(cfg.exchange_key, FrameKind::Partial, &env));
                 }
-                _ => match ps.journal.record(env.round, env.from, env.payload.clone()) {
-                    Recorded::Stale => cfg.metrics.orphan_frames(1),
-                    Recorded::Forward => {
-                        if let Some(c) = link.as_mut().filter(|c| c.is_open()) {
-                            c.queue_frame(FrameKind::Data, &Envelope { to: conn, ..env });
-                            c.flush();
-                        }
-                        // Not yet on the wire? The journal has it — the
-                        // next (re)dial replays it.
-                    }
-                },
             }
         }
-        ProxyEvent::Finish { conn, session } => {
+        MrMsg::Finish { conn, session } => {
             sessions.remove(&(conn, session));
-            if let Some(c) = link.as_mut().filter(|c| c.is_open()) {
-                c.queue_frame(
-                    FrameKind::Finish,
-                    &Envelope {
-                        session: SessionId(session),
-                        round: 0,
-                        from: conn,
-                        to: 0,
-                        payload: Message::empty(),
-                    },
-                );
-                c.flush();
-            }
+            let env = Envelope {
+                session: SessionId(session),
+                round: 0,
+                from: conn,
+                to: 0,
+                payload: Message::empty(),
+            };
+            forward(FrameKind::Finish, &env);
         }
-        ProxyEvent::Retire { conn } => {
+        MrMsg::Retire { conn } => {
             sessions.retain(|(owner, _), _| *owner != conn);
-            if let Some(c) = link.as_mut().filter(|c| c.is_open()) {
-                c.queue_frame(
-                    FrameKind::Retire,
-                    &Envelope {
-                        session: SessionId(0),
-                        round: 0,
-                        from: conn,
-                        to: 0,
-                        payload: Message::empty(),
-                    },
-                );
-                c.flush();
-            }
+            let env = Envelope {
+                session: SessionId(0),
+                round: 0,
+                from: conn,
+                to: 0,
+                payload: Message::empty(),
+            };
+            forward(FrameKind::Retire, &env);
         }
+        // Partials flow host → proxy → accumulator, never router → proxy.
+        MrMsg::Partial(_) => {}
     }
 }
 
@@ -1085,35 +865,22 @@ fn pump_partials(
                     conn.close();
                     return;
                 }
-                let key = (env.to, env.session.0);
-                let Some(ps) = sessions.get_mut(&key) else {
+                let Some(ps) = sessions.get_mut(&(env.to, env.session.0)) else {
                     cfg.metrics.orphan_frames(1); // judged while in flight
                     continue;
                 };
-                match cfg.mode {
-                    ShardHostMode::OneRound => {
-                        if env.round >> 1 != ps.epoch {
-                            cfg.metrics.orphan_frames(1); // stale announce run
-                            continue;
-                        }
-                        if env.round & 1 == 0 {
-                            ps.journal.commit(1);
-                            cfg.metrics.partial_frames(1);
-                        }
+                if env.round >> 1 != ps.epoch {
+                    cfg.metrics.orphan_frames(1); // a stale announce run
+                    continue;
+                }
+                if env.round & 1 == 0 {
+                    // A range partial commits its round; a malformed
+                    // payload is still forwarded — the accumulator's
+                    // decode fails the session closed.
+                    if let Ok(p) = RoundPartialState::decode(ps.journal.n(), &env.payload) {
+                        ps.journal.commit(p.round());
                     }
-                    ShardHostMode::MultiRound => {
-                        if env.round != ps.epoch {
-                            cfg.metrics.orphan_frames(1);
-                            continue;
-                        }
-                        // Commit the emitted round; a malformed payload
-                        // is still forwarded — the accumulator's decode
-                        // fails the session closed.
-                        if let Ok(p) = RoundPartialState::decode(ps.journal.n(), &env.payload) {
-                            ps.journal.commit(p.round());
-                        }
-                        cfg.metrics.partial_frames(1);
-                    }
+                    cfg.metrics.partial_frames(1);
                 }
                 send_partial(encode_wire_frame(cfg.exchange_key, FrameKind::Partial, &env));
             }

@@ -10,8 +10,8 @@ use referee_protocol::multiround::BoruvkaConnectivity;
 use referee_protocol::{BitWriter, DecodeError, Message};
 use referee_simnet::{Envelope, SessionId};
 use referee_wirenet::{
-    decode_frame, encode_bool_output, encode_wire_frame, AuthKey, FleetClient, FleetServer,
-    FrameKind, ServiceCatalog, MAX_SERVICE_NAME_BYTES,
+    decode_frame, encode_bool_output, encode_frame, encode_wire_frame, vector_digest, AuthKey,
+    FleetClient, FleetServer, FrameKind, ServiceCatalog, MAX_SERVICE_NAME_BYTES,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -228,4 +228,103 @@ fn oversize_name_announce_fails_closed_with_typed_verdict() {
     assert!(matches!(err, DecodeError::Invalid(_)), "typed rejection expected, got {err:?}");
 
     server.stop();
+}
+
+/// Announce a bare-n session of `messages.len()` nodes on a raw socket,
+/// stream one round-1 uplink per node, and return the verdict payload.
+fn verify_raw(
+    stream: &mut TcpStream,
+    key: &AuthKey,
+    buf: &mut Vec<u8>,
+    session: u64,
+    messages: &[Message],
+) -> Message {
+    let mut frames = encode_wire_frame(
+        key,
+        FrameKind::Announce,
+        &Envelope {
+            session: SessionId(session),
+            round: 0,
+            from: 0,
+            to: 0,
+            payload: bare_announce(messages.len() as u64),
+        },
+    );
+    for (i, payload) in messages.iter().enumerate() {
+        let env = Envelope {
+            session: SessionId(session),
+            round: 1,
+            from: i as u32 + 1,
+            to: 0,
+            payload: payload.clone(),
+        };
+        frames.extend_from_slice(&encode_frame(key, &env));
+    }
+    stream.write_all(&frames).unwrap();
+    loop {
+        let (kind, env) = read_raw_frame(stream, key, buf).expect("verdict before close");
+        if kind == FrameKind::Verdict {
+            assert_eq!(env.session.0, session);
+            return env.payload;
+        }
+    }
+}
+
+/// The digest an Ok verify verdict carries (`1` + 64 digest bits).
+fn verdict_digest(verdict: &Message) -> u64 {
+    let mut r = verdict.reader();
+    assert!(r.read_bit().unwrap(), "an honest verify session must succeed");
+    let digest = r.read_bits(64).unwrap();
+    assert!(r.is_exhausted(), "trailing bits after the digest");
+    digest
+}
+
+/// The one-round verifier is the same router serving a one-entry
+/// catalog: on a `spawn_sharded` server a bare announce selects the
+/// verify entry, with digests identical to `vector_digest` over the raw
+/// wire and the client API alike, and an unknown name gets a typed
+/// `Invalid` verdict on a connection that survives it.
+#[test]
+fn one_round_server_serves_the_verify_entry() {
+    let base = AuthKey::from_seed(64);
+    let server = FleetServer::spawn_sharded(base, 2).expect("bind");
+    let messages: Vec<Message> = [5u64, 9, 2, 7]
+        .iter()
+        .map(|&v| {
+            let mut w = BitWriter::new();
+            w.write_bits(v, 4);
+            Message::from_writer(w)
+        })
+        .collect();
+    let want = vector_digest(&base, &messages);
+
+    let (mut stream, key, mut buf) = raw_connect(&server, &base);
+    let first = verify_raw(&mut stream, &key, &mut buf, 1, &messages);
+    assert_eq!(verdict_digest(&first), want, "bare announce must reach the verify entry");
+
+    // An unknown name: typed rejection — leading 0 bit, Invalid class.
+    let unknown = announce_and_await_verdict(
+        &mut stream,
+        &key,
+        &mut buf,
+        2,
+        named_announce(4, "boruvka"),
+    );
+    let mut r = unknown.reader();
+    assert!(!r.read_bit().unwrap(), "an unknown service must reject");
+    assert_eq!(r.read_bits(2).unwrap(), 3, "the rejection must be typed Invalid");
+
+    // The connection survived: the same session verifies again.
+    let again = verify_raw(&mut stream, &key, &mut buf, 3, &messages);
+    assert_eq!((again.len_bits(), again.as_bytes()), (first.len_bits(), first.as_bytes()));
+    drop(stream);
+
+    let client = FleetClient::connect(server.addr(), 1, base).expect("connect");
+    let arrivals = messages.iter().cloned().enumerate().map(|(i, m)| (i as u32 + 1, m));
+    let digest = client.verify_session(SessionId(4), messages.len(), arrivals).expect("verify");
+    assert_eq!(digest, want, "client API digest differs from the raw-wire digest");
+
+    let stats = server.stop();
+    assert_eq!(stats.mac_rejects, 0);
+    assert_eq!(stats.decode_rejects, 1, "only the unknown name is rejected");
 }

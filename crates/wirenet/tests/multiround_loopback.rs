@@ -7,14 +7,16 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use referee_graph::{algo, generators, LabelledGraph};
+use referee_protocol::evidence::{verify_bundle, EvidenceBundle, ProvableError, SessionParams};
 use referee_protocol::multiround::{run_multiround, BoruvkaConnectivity};
 use referee_protocol::shard::replay::encode_resume;
-use referee_protocol::{BitWriter, Message};
+use referee_protocol::{BitWriter, DecodeError, Message};
 use referee_simnet::{Envelope, Scheduler, SessionId};
-use referee_wirenet::placement::{link_key, register_frame, shard_key, ShardHostMode};
+use referee_wirenet::placement::{link_key, register_frame, shard_key};
 use referee_wirenet::{
-    boruvka_connectivity_service, decode_bool_output, decode_frame, encode_wire_frame, AuthKey,
-    FleetClient, FleetServer, FrameKind, ShardHost, TamperConfig, WireError,
+    boruvka_connectivity_service, decode_bool_output, decode_frame, encode_frame,
+    encode_wire_frame, AuthKey, FleetClient, FleetServer, FrameKind, ShardHost, TamperConfig,
+    WireError,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -243,7 +245,7 @@ fn frame_under_sibling_shard_key_is_rejected() {
     // Control: shard 0 registered and serving under its own key.
     let key_a = link_key(&base, 0, 1);
     let mut a = RawLink::connect(host.addr());
-    a.send(&register_frame(&base, ShardHostMode::OneRound, 0, shards, 1));
+    a.send(&register_frame(&base, 0, shards, 1));
     let announce = Envelope {
         session: SessionId(7),
         round: 3, // announce epoch
@@ -265,7 +267,7 @@ fn frame_under_sibling_shard_key_is_rejected() {
     // Attack: a link registered as shard 1 replays a frame MAC'd with
     // shard 0's key.
     let mut b = RawLink::connect(host.addr());
-    b.send(&register_frame(&base, ShardHostMode::OneRound, 1, shards, 1));
+    b.send(&register_frame(&base, 1, shards, 1));
     b.send(&encode_wire_frame(&key_a, FrameKind::Data, &data));
     // The host must reject the MAC and hang up on the link.
     let outcome = b.read_frame(&link_key(&base, 1, 1), Duration::from_secs(5));
@@ -300,7 +302,7 @@ fn pre_epoch_partial_fails_closed() {
     // then replay the generation-1 frame — MAC-rejected, link closed.
     let host = ShardHost::spawn(base).expect("bind shard host");
     let mut link = RawLink::connect(host.addr());
-    link.send(&register_frame(&base, ShardHostMode::OneRound, 0, 1, 2));
+    link.send(&register_frame(&base, 0, 1, 2));
     link.send(&stale);
     let outcome = link.read_frame(&link_key(&base, 0, 2), Duration::from_secs(5));
     assert_eq!(outcome, Err(true), "the stale-generation link must be closed");
@@ -321,5 +323,133 @@ fn multiround_against_echo_server_fails_closed() {
         .run_multiround_session(SessionId(1), &BoruvkaConnectivity, &g, CAP)
         .expect_err("an echo server cannot referee");
     let _ = err; // any DecodeError is acceptable; the point is: no hang
+    server.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Fail-fast paths, driven over a raw client connection
+// ---------------------------------------------------------------------------
+
+/// Complete the Hello handshake on a raw client socket: the link, the
+/// connection id the server assigned, and the derived per-connection
+/// key.
+fn raw_client(server: &FleetServer, base: &AuthKey) -> (RawLink, u32, AuthKey) {
+    let mut link = RawLink::connect(server.addr());
+    let (kind, hello) = link
+        .read_frame(base, Duration::from_secs(5))
+        .expect("connection open")
+        .expect("the server sends Hello");
+    assert_eq!(kind, FrameKind::Hello);
+    (link, hello.from, base.derive(u64::from(hello.from)))
+}
+
+/// A bare-n announce frame.
+fn announce(key: &AuthKey, session: SessionId, n: u64) -> Vec<u8> {
+    let env = Envelope { session, round: 0, from: 0, to: 0, payload: bits(n, 32) };
+    encode_wire_frame(key, FrameKind::Announce, &env)
+}
+
+/// Read until the verdict arrives: the evidence bundles shipped ahead
+/// of it, and the verdict payload. Panics if no verdict arrives within
+/// `deadline`.
+fn await_verdict(
+    link: &mut RawLink,
+    key: &AuthKey,
+    deadline: Duration,
+) -> (Vec<EvidenceBundle>, Message) {
+    let until = Instant::now() + deadline;
+    let mut bundles = Vec::new();
+    loop {
+        match link.read_frame(key, until.saturating_duration_since(Instant::now())) {
+            Ok(Some((FrameKind::Evidence, env))) => {
+                bundles.push(EvidenceBundle::decode(&env.payload).expect("bundle decodes"));
+            }
+            Ok(Some((FrameKind::Verdict, env))) => return (bundles, env.payload),
+            Ok(Some((kind, _))) => panic!("unexpected {kind:?} frame awaiting the verdict"),
+            Ok(None) => panic!("no verdict within {deadline:?}"),
+            Err(closed) => panic!("connection failed awaiting the verdict (closed: {closed})"),
+        }
+    }
+}
+
+/// A range partial too large for the frame cap fails its session fast
+/// with a typed `Invalid` verdict in multi-round sessions too, instead
+/// of starving until the client's verdict deadline: at n = 4, k = 2,
+/// nodes 3 and 4 (shard 1's whole range) each send ~0.6 MiB — every
+/// frame fits the cap, their range partial cannot.
+#[test]
+fn oversize_range_partial_fails_fast_with_invalid() {
+    let base = AuthKey::from_seed(58);
+    let mut w = BitWriter::new();
+    for _ in 0..600 * 1024 / 8 {
+        w.write_bits(u64::MAX, 64);
+    }
+    let big = Message::from_writer(w);
+
+    let server =
+        FleetServer::spawn_multiround(base, 2, boruvka_connectivity_service()).unwrap();
+    let (mut link, _, key) = raw_client(&server, &base);
+    let session = SessionId(1);
+    link.send(&announce(&key, session, 4));
+    for from in [3, 4] {
+        let env = Envelope { session, round: 1, from, to: 0, payload: big.clone() };
+        link.send(&encode_frame(&key, &env));
+    }
+    let (_, verdict) = await_verdict(&mut link, &key, Duration::from_secs(5));
+    let mut r = verdict.reader();
+    assert!(!r.read_bit().unwrap(), "an oversize range partial must reject");
+    assert_eq!(r.read_bits(2).unwrap(), 3, "the rejection must be typed Invalid");
+    assert_eq!(server.stop().verdict_frames, 1);
+
+    // The one-round verifier's client API sees the same prompt error.
+    let server = FleetServer::spawn_sharded(base, 2).unwrap();
+    let client = FleetClient::connect(server.addr(), 1, base).unwrap();
+    let started = Instant::now();
+    let arrivals = [(1, bits(1, 4)), (2, bits(2, 4)), (3, big.clone()), (4, big)];
+    match client.verify_session(SessionId(2), 4, arrivals) {
+        Err(DecodeError::Invalid(_)) => {}
+        other => panic!("an oversize range partial must reject Invalid, got {other:?}"),
+    }
+    assert!(started.elapsed() < Duration::from_secs(5), "the rejection must be prompt");
+    server.stop();
+}
+
+/// Late arrivals on a multi-round server: a round-1 uplink repeated —
+/// identical, then conflicting — after its range's partial shipped,
+/// while the sibling range is still open. Each repeat becomes a poison
+/// notice for round 1, so the session ends promptly with verifying
+/// evidence and an error verdict rather than waiting for a node that
+/// never speaks.
+#[test]
+fn late_repeats_after_a_shipped_range_fail_fast_with_evidence() {
+    let base = AuthKey::from_seed(59);
+    let referee = boruvka_connectivity_service();
+    let cap = referee.round_cap(4) as u32;
+    let server = FleetServer::spawn_multiround(base, 2, referee).unwrap();
+    let (mut link, conn, key) = raw_client(&server, &base);
+    let session = SessionId(3);
+    let uplink = |from: u32, v: u64| {
+        encode_frame(&key, &Envelope { session, round: 1, from, to: 0, payload: bits(v, 5) })
+    };
+    // Nodes 3 and 4 complete shard 1's range, which ships; node 2 never
+    // speaks, so shard 0 stays open. Then node 3 repeats itself.
+    link.send(&announce(&key, session, 4));
+    for frame in [uplink(3, 1), uplink(4, 2), uplink(1, 3), uplink(3, 1), uplink(3, 9)] {
+        link.send(&frame);
+    }
+    let (bundles, verdict) = await_verdict(&mut link, &key, Duration::from_secs(5));
+    assert!(!verdict.reader().read_bit().unwrap(), "the session must reject");
+    assert!(!bundles.is_empty(), "a late repeat must leave evidence");
+    assert_eq!(bundles[0].error, ProvableError::DuplicateSender);
+    let params = SessionParams { session: session.0, n: 4, round_cap: cap };
+    for bundle in &bundles {
+        let att =
+            verify_bundle(base.mac_key(), &params, bundle).expect("standalone verification");
+        match bundle.error {
+            ProvableError::DuplicateSender => assert_eq!(att.culprit, None),
+            ProvableError::Equivocation => assert_eq!(att.culprit, Some(conn)),
+            other => panic!("unexpected {other:?} bundle"),
+        }
+    }
     server.stop();
 }
