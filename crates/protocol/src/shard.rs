@@ -33,11 +33,11 @@
 //! one-shard special case of
 //! [`run_multiround_sharded`](multiround::run_multiround_sharded).
 //!
-//! Two further submodules serve cross-host deployments of this split:
-//! [`placement`] assigns shards to hosts (the same balanced-contiguous
-//! arithmetic one level up, plus static maps and loss-remap), and
-//! [`replay`] is the coordinator-side journal/resume machinery that
-//! rebuilds a lost host's volatile shard state bit-for-bit.
+//! Three further submodules serve deployments of this split: [`range`]
+//! is one shard's per-session ingest and late-arrival rule, [`placement`]
+//! assigns shards to hosts (the same arithmetic one level up, plus
+//! static maps and loss-remap), and [`replay`] is the coordinator-side
+//! journal/resume machinery that rebuilds a lost host's shard state.
 //!
 //! # Canonical verdicts
 //!
@@ -55,6 +55,7 @@
 
 pub mod multiround;
 pub mod placement;
+pub mod range;
 pub mod replay;
 
 use crate::{BitReader, BitWriter, DecodeError, Message};

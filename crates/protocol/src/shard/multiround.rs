@@ -85,14 +85,11 @@ impl RoundShard {
     }
 
     /// Record a fault by `sender` against this round: out of range if
-    /// it is (0 or `> n`), else duplicated — the classification
-    /// [`PartialState::poison_notice`] uses.
+    /// it is (0 or `> n`), else duplicated — by merging its
+    /// [`PartialState::poison_notice`], the one place that classifies.
     pub fn note_fault(&mut self, sender: VertexId) {
-        if sender == 0 || sender as usize > self.inner.state.n() {
-            self.inner.state.note_out_of_range(sender);
-        } else {
-            self.inner.note_duplicate(sender);
-        }
+        let notice = PartialState::poison_notice(self.inner.state.n(), sender);
+        self.inner.state.merge(notice).expect("a notice for this shard's n merges");
     }
 
     /// The uplink recorded for `sender` this round, if any (what an
@@ -158,16 +155,6 @@ impl RoundPartialState {
     /// The uplink recorded for `sender`, if any.
     pub fn message_for(&self, sender: VertexId) -> Option<&Message> {
         self.inner.message_for(sender)
-    }
-
-    /// Record an out-of-range sender directly (min-tracked).
-    pub fn note_out_of_range(&mut self, sender: VertexId) {
-        self.inner.note_out_of_range(sender);
-    }
-
-    /// Record a duplicated sender directly (min-tracked).
-    pub fn note_duplicate(&mut self, sender: VertexId) {
-        self.inner.note_duplicate(sender);
     }
 
     /// Fold `other` into `self` — commutative and associative up to the

@@ -32,11 +32,11 @@
 //! * [`byzantine`] — [`Misbehaving`], a decorator that signs node
 //!   uplinks into a MAC'd transcript and makes seeded byzantine nodes
 //!   misbehave, for the evidence harness.
-//! * [`placement`] — [`PlacementSim`]: a sans-I/O, seeded model of
-//!   cross-host shard placement under host loss — kills wipe volatile
-//!   shard state, journal replay rebuilds it — pinned to produce the
-//!   monolithic verdict for every seed and kill rate, so any wire-layer
-//!   reconnect bug has a seed-reproducible counterexample here.
+//! * [`placement`] — [`PlacementSim`]: the seeded sans-I/O twin of
+//!   cross-host placement, driving the production range state machine
+//!   and journal through host kills. Its verdict matches the monolithic
+//!   one (equal `Ok` vectors, same `Err` class) for every seed and kill
+//!   rate, so a reconnect bug has a seed-reproducible counterexample.
 //! * [`scheduler`] — a claim-based batching worker pool ([`Scheduler`])
 //!   that drives many sessions concurrently (interleaving their `step`s
 //!   within a batch) and disables the legacy simulator's nested

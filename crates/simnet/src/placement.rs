@@ -1,80 +1,48 @@
 //! A sans-I/O model of cross-host shard placement under host loss —
-//! the deterministic twin of `wirenet::placement`.
+//! the deterministic twin of `wirenet::placement`. [`PlacementSim`]
+//! plays the wire's three roles with their production state machines,
+//! **no I/O and a single seed**, so any reconnect bug has a
+//! seed-reproducible counterexample:
 //!
-//! The wire layer's reconnect contract is subtle: a killed shard host
-//! loses exactly its volatile shard state, and the coordinator's
-//! [`ShardJournal`] must rebuild it so faithfully that verdicts are
-//! bit-for-bit unchanged. Debugging that through real sockets and real
-//! kill schedules is miserable; [`PlacementSim`] runs the same
-//! journal/replay state machine with **no I/O and a single seed**, so
-//! any violation is a seed-reproducible counterexample:
+//! * **host** — each shard, placed by a [`PlacementPolicy`], is a
+//!   [`RangeState`] with a round cap of 1;
+//! * **proxy** — each shard's [`ShardJournal`] records every arrival
+//!   first and turns one for a committed range into a poison notice; a
+//!   merged range partial commits the journal;
+//! * **kill** — a seeded kill wipes every range on a host, committed
+//!   ones included, and rebuilds each at its journal's resume round
+//!   from the journal's replay, as a proxy's redial does.
 //!
-//! * shards are placed on simulated hosts by a
-//!   [`PlacementPolicy`];
-//! * a seeded schedule interleaves arrival deliveries with host
-//!   **kills** — a kill wipes every un-emitted shard on the host, then
-//!   the coordinator replays its journals into fresh shards (exactly
-//!   what a proxy does on redial);
-//! * emitted partials **commit** their journal, after which stragglers
-//!   are reported as poison notices (the proxy's synthesized-notice
-//!   path).
-//!
-//! The pinned invariant: for *any* seed, kill rate and placement, the
-//! final verdict equals the monolithic
+//! For *any* seed, kill rate and placement, an `Ok` verdict equals the
+//! monolithic
 //! [`assemble_from_arrivals`](referee_protocol::referee::assemble_from_arrivals)
-//! on the same arrival sequence.
+//! bit for bit, and an `Err` verdict has its [`DecodeError`] class. The
+//! offender may differ: a poisoned range ships at once, so its later
+//! first uplinks are noticed as duplicates, as on the wire.
 
 use crate::clock::{Clock, ManualClock};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use referee_graph::VertexId;
+use referee_protocol::shard::multiround::RoundPartialState;
 use referee_protocol::shard::placement::{HostId, PlacementPolicy};
+use referee_protocol::shard::range::RangeState;
 use referee_protocol::shard::replay::{Recorded, ShardJournal};
-use referee_protocol::shard::{route_arrival, Arrival, PartialState, RefereeShard};
+use referee_protocol::shard::route_arrival;
 use referee_protocol::trace::{FlightRecorder, TraceKind};
 use referee_protocol::{DecodeError, Message};
-use std::collections::BTreeSet;
 
-/// The single simulated assembly's trace session id (session 0 is the
-/// connection-level namespace in `wirenet` traces; the sim mirrors
-/// that convention).
+/// The simulated assembly's trace session id (session 0 is the
+/// connection-level namespace in `wirenet` traces).
 const SIM_SESSION: u64 = 1;
 
 /// Trace endpoint ids, mirroring `wirenet::metrics::trace_endpoint`:
-/// the coordinator is endpoint 0, simulated host `h` is `0x200 + h`.
+/// the coordinator is endpoint 0, simulated host `h` is `HOSTS + h`.
 const COORDINATOR: u32 = 0;
+const HOSTS: u32 = 0x200;
 
-fn host_endpoint(h: HostId) -> u32 {
-    0x200 + h
-}
-
-/// Deterministic trace hook for [`PlacementSim::run_traced`]: every
-/// recorded event first advances the manual clock by exactly one
-/// microsecond, so the same seed reproduces the trace bit-for-bit —
-/// timestamps included.
-struct SimTracer<'a> {
-    recorder: &'a FlightRecorder,
-    clock: &'a ManualClock,
-}
-
-impl SimTracer<'_> {
-    fn record(&self, endpoint: u32, kind: TraceKind, payload: u64) {
-        self.clock.advance(1e-6);
-        let ts_us = (self.clock.now() * 1e6).round() as u64;
-        self.recorder.record(ts_us, SIM_SESSION, endpoint, kind, payload);
-    }
-}
-
-/// Record through an optional tracer (no-op on the untraced path).
-fn tr(tracer: Option<&SimTracer<'_>>, endpoint: u32, kind: TraceKind, payload: u64) {
-    if let Some(t) = tracer {
-        t.record(endpoint, kind, payload);
-    }
-}
-
-/// A seeded host-loss model for one sharded assembly (see the module
-/// docs).
+/// A seeded host-loss model for one sharded assembly (see the module docs).
 #[derive(Debug, Clone, Copy)]
 pub struct PlacementSim {
     /// Seed for the delivery order and the kill schedule.
@@ -91,14 +59,11 @@ pub struct PlacementReport {
     pub verdict: Result<Vec<Message>, DecodeError>,
     /// Host kills injected by the schedule.
     pub kills: usize,
-    /// Journal entries replayed into restarted shards.
+    /// Journal entries replayed into restarted ranges.
     pub replayed: usize,
-    /// Shard partials emitted (including re-emissions after a kill
-    /// wiped an emitted-but-uncommitted shard — impossible here, since
-    /// emission and commit are atomic in the sim, but counted for
-    /// completeness).
+    /// Range partials merged, those drained when the wait ends included.
     pub partials: usize,
-    /// Poison notices synthesized for post-commit stragglers.
+    /// Poison notices merged, raised by the proxy or by a host.
     pub notices: usize,
 }
 
@@ -111,9 +76,8 @@ impl PlacementSim {
     /// Drive one size-`n` assembly, placed by `policy`, over `arrivals`
     /// delivered in a seed-shuffled order with seeded host kills.
     ///
-    /// Returns the verdict and the fault accounting; the verdict is
-    /// bit-for-bit the monolithic one no matter the seed (pinned by
-    /// property tests).
+    /// Returns the verdict and the fault accounting; the verdict agrees
+    /// with the monolithic one as the module docs pin down.
     pub fn run(
         &self,
         n: usize,
@@ -139,7 +103,7 @@ impl PlacementSim {
         recorder: &FlightRecorder,
         clock: &ManualClock,
     ) -> PlacementReport {
-        self.run_inner(n, policy, arrivals, Some(&SimTracer { recorder, clock }))
+        self.run_inner(n, policy, arrivals, Some((recorder, clock)))
     }
 
     fn run_inner(
@@ -147,158 +111,128 @@ impl PlacementSim {
         n: usize,
         policy: &PlacementPolicy,
         arrivals: &[(VertexId, Message)],
-        tracer: Option<&SimTracer<'_>>,
+        tracer: Option<(&FlightRecorder, &ManualClock)>,
     ) -> PlacementReport {
         let k = policy.shards();
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut order: Vec<usize> = (0..arrivals.len()).collect();
         order.shuffle(&mut rng);
-
-        // Host-resident volatile state: shard i's collector, or `None`
-        // once its partial was emitted (committed) — the host equivalent
-        // of a shipped range.
-        let mut shards: Vec<Option<RefereeShard>> =
-            (0..k).map(|i| Some(RefereeShard::new(n, k, i))).collect();
-        // Coordinator-resident durable state.
-        let mut journals: Vec<ShardJournal> = (0..k).map(|_| ShardJournal::new(n)).collect();
-        let mut acc = PartialState::new(n);
-        let mut report = PlacementReport {
-            verdict: Ok(Vec::new()),
-            kills: 0,
-            replayed: 0,
-            partials: 0,
-            notices: 0,
+        let mut run = Run {
+            policy,
+            tracer,
+            ranges: (0..k).map(|i| RangeState::new(n, k, i, 1, 1)).collect(),
+            journals: (0..k).map(|_| ShardJournal::new(n)).collect(),
+            acc: RoundPartialState::new(n, 1),
+            report: PlacementReport {
+                verdict: Ok(Vec::new()),
+                kills: 0,
+                replayed: 0,
+                partials: 0,
+                notices: 0,
+            },
         };
-
-        // Emit-and-commit: fold a complete/poisoned shard into the
-        // accumulator and prune its journal.
-        let emit_ready = |shards: &mut [Option<RefereeShard>],
-                          journals: &mut [ShardJournal],
-                          acc: &mut PartialState,
-                          partials: &mut usize| {
-            for (i, slot) in shards.iter_mut().enumerate() {
-                let ready = slot.as_ref().is_some_and(|s| s.is_complete() || s.is_poisoned());
-                if ready {
-                    let partial = slot.take().expect("checked above").into_partial();
-                    tr(
-                        tracer,
-                        host_endpoint(policy.host_of_shard(i)),
-                        TraceKind::PartialEmit,
-                        i as u64,
-                    );
-                    acc.merge(partial).expect("same-n partials always merge");
-                    tr(tracer, COORDINATOR, TraceKind::PartialMerge, i as u64);
-                    journals[i].commit(1);
-                    *partials += 1;
-                }
-            }
-        };
-
-        // Empty ranges complete immediately (k > n).
-        emit_ready(&mut shards, &mut journals, &mut acc, &mut report.partials);
-
         let hosts: Vec<HostId> = policy.hosts();
         for step in order {
             // Chaos first: maybe kill (and restart) a host.
-            if !hosts.is_empty() && rng.gen_bool(self.kill_rate) {
-                let victim = hosts[rng.gen_range(0..hosts.len())];
-                report.kills += 1;
-                tr(tracer, host_endpoint(victim), TraceKind::Kill, u64::from(victim));
-                self.kill_and_replay(
-                    n,
-                    policy,
-                    victim,
-                    &mut shards,
-                    &mut journals,
-                    &mut report.replayed,
-                    tracer,
-                );
-                emit_ready(&mut shards, &mut journals, &mut acc, &mut report.partials);
+            if rng.gen_bool(self.kill_rate) {
+                run.kill(hosts[rng.gen_range(0..hosts.len())]);
             }
             let (sender, payload) = &arrivals[step];
-            let target = route_arrival(n, k, *sender);
-            tr(tracer, COORDINATOR, TraceKind::Uplink, u64::from(*sender));
-            // One-round discipline (the same check the wire proxy
-            // runs): once the shard's partial merged, *anything* else —
-            // in-range duplicate or out-of-range stray — is reported as
-            // a synthesized poison notice, never re-collected.
-            if journals[target].committed() {
-                let poison = PartialState::poison_notice(n, *sender);
-                acc.merge(poison).expect("same-n partials always merge");
-                report.notices += 1;
-                tr(tracer, COORDINATOR, TraceKind::Poison, u64::from(*sender));
-                continue;
-            }
-            match journals[target].record(1, *sender, payload.clone()) {
-                Recorded::Stale => unreachable!("round 1 of an uncommitted journal"),
-                Recorded::Forward => {
-                    let shard = shards[target]
-                        .as_mut()
-                        .expect("uncommitted journal implies a live shard");
-                    ingest_service_policy(shard, *sender, payload.clone());
-                    emit_ready(&mut shards, &mut journals, &mut acc, &mut report.partials);
-                }
+            run.proxy(*sender, payload);
+        }
+        // End the wait: merge every range still collecting, so missing
+        // nodes surface as the canonical missing-node verdict.
+        for i in 0..k {
+            if let Some(partial) = run.ranges[i].unshipped() {
+                run.ship(i, partial);
             }
         }
-
-        // Merge whatever never completed (missing nodes surface as the
-        // canonical missing-verdict, exactly like the monolithic wait
-        // ending early).
-        for (i, slot) in shards.iter_mut().enumerate() {
-            if let Some(shard) = slot.take() {
-                tr(
-                    tracer,
-                    host_endpoint(policy.host_of_shard(i)),
-                    TraceKind::PartialEmit,
-                    i as u64,
-                );
-                acc.merge(shard.into_partial()).expect("same-n partials always merge");
-                tr(tracer, COORDINATOR, TraceKind::PartialMerge, i as u64);
-                journals[i].commit(1);
-            }
-        }
-        report.verdict = acc.finish();
-        tr(tracer, COORDINATOR, TraceKind::Verdict, report.verdict.is_ok() as u64);
-        report
-    }
-
-    /// Kill `victim`: wipe every un-committed shard it hosts, then
-    /// rebuild each from its journal (the proxy's redial replay).
-    #[allow(clippy::too_many_arguments)]
-    fn kill_and_replay(
-        &self,
-        n: usize,
-        policy: &PlacementPolicy,
-        victim: HostId,
-        shards: &mut [Option<RefereeShard>],
-        journals: &mut [ShardJournal],
-        replayed: &mut usize,
-        tracer: Option<&SimTracer<'_>>,
-    ) {
-        let k = policy.shards();
-        let lost: BTreeSet<usize> = (0..k)
-            .filter(|&i| policy.host_of_shard(i) == victim && !journals[i].committed())
-            .collect();
-        for &i in &lost {
-            let mut fresh = RefereeShard::new(n, k, i);
-            for (_, sender, payload) in journals[i].replay() {
-                ingest_service_policy(&mut fresh, sender, payload.clone());
-                *replayed += 1;
-                tr(tracer, host_endpoint(victim), TraceKind::Replay, u64::from(sender));
-            }
-            shards[i] = Some(fresh);
-        }
+        let verdict = std::mem::replace(&mut run.acc, RoundPartialState::new(n, 1)).finish();
+        run.trace(COORDINATOR, TraceKind::Verdict, verdict.is_ok() as u64);
+        PlacementReport { verdict, ..run.report }
     }
 }
 
-/// The service-side ingest policy every referee deployment in this
-/// workspace uses: any duplicate is recorded as a fault, out-of-range
-/// senders are recorded wherever they were routed.
-fn ingest_service_policy(shard: &mut RefereeShard, sender: VertexId, payload: Message) {
-    match shard.ingest(sender, payload) {
-        Ok(Arrival::Fresh) | Ok(Arrival::OutOfRange) => {}
-        Ok(Arrival::Duplicate { .. }) => shard.note_duplicate(sender),
-        Err(_) => unreachable!("route_arrival sends every sender to its owning shard"),
+/// One run's state: host-side ranges, proxy-side journals, accumulator.
+struct Run<'a> {
+    policy: &'a PlacementPolicy,
+    /// [`PlacementSim::run_traced`]'s recorder and clock.
+    tracer: Option<(&'a FlightRecorder, &'a ManualClock)>,
+    ranges: Vec<RangeState>,
+    journals: Vec<ShardJournal>,
+    acc: RoundPartialState,
+    report: PlacementReport,
+}
+
+impl Run<'_> {
+    /// Record through the tracer, if any, one manual-clock microsecond
+    /// per event: the same seed reproduces the trace bit-for-bit.
+    fn trace(&self, endpoint: u32, kind: TraceKind, payload: u64) {
+        if let Some((recorder, clock)) = self.tracer {
+            clock.advance(1e-6);
+            let ts_us = (clock.now() * 1e6).round() as u64;
+            recorder.record(ts_us, SIM_SESSION, endpoint, kind, payload);
+        }
+    }
+
+    /// The proxy: journal one uplink and forward it to the host, or turn
+    /// it into a poison notice when its range already committed.
+    fn proxy(&mut self, sender: VertexId, payload: &Message) {
+        let n = self.acc.n();
+        let i = route_arrival(n, self.ranges.len(), sender);
+        self.trace(COORDINATOR, TraceKind::Uplink, u64::from(sender));
+        match self.journals[i].record(1, sender, payload.clone()) {
+            Recorded::Forward => self.host(i, 1, sender, payload.clone()),
+            Recorded::Stale => {
+                self.notice(COORDINATOR, sender, RoundPartialState::poison_notice(n, 1, sender))
+            }
+        }
+    }
+
+    /// The host: ingest one uplink into shard `i`'s range, merge any
+    /// poison notice it raises, and ship the range once it is ready.
+    fn host(&mut self, i: usize, round: u32, sender: VertexId, payload: Message) {
+        let ingested = self.ranges[i].ingest(round, sender, payload);
+        if let Some(notice) = ingested.expect("routed to its own range").notice {
+            self.notice(HOSTS + self.policy.host_of_shard(i), sender, notice);
+        }
+        if let Some(partial) = self.ranges[i].take_ready().cloned() {
+            self.ship(i, partial);
+        }
+    }
+
+    /// Merge shard `i`'s range partial and commit its journal.
+    fn ship(&mut self, i: usize, partial: RoundPartialState) {
+        let endpoint = HOSTS + self.policy.host_of_shard(i);
+        self.trace(endpoint, TraceKind::PartialEmit, i as u64);
+        self.acc.merge(partial).expect("round-1 partials of one n always merge");
+        self.trace(COORDINATOR, TraceKind::PartialMerge, i as u64);
+        self.journals[i].commit(1);
+        self.report.partials += 1;
+    }
+
+    /// Merge a poison notice against `sender`, raised at `endpoint`.
+    fn notice(&mut self, endpoint: u32, sender: VertexId, notice: RoundPartialState) {
+        self.trace(endpoint, TraceKind::Poison, u64::from(sender));
+        self.acc.merge(notice).expect("round-1 notices of one n always merge");
+        self.report.notices += 1;
+    }
+
+    /// Kill `victim`: wipe every range it hosts, committed ones included,
+    /// and rebuild each at its resume round from the journal's replay.
+    fn kill(&mut self, victim: HostId) {
+        self.report.kills += 1;
+        let endpoint = HOSTS + victim;
+        self.trace(endpoint, TraceKind::Kill, u64::from(victim));
+        let (n, k) = (self.acc.n(), self.ranges.len());
+        for i in (0..k).filter(|&i| self.policy.host_of_shard(i) == victim) {
+            self.ranges[i] = RangeState::new(n, k, i, self.journals[i].resume_round(), 1);
+            for (round, sender, payload) in self.journals[i].clone().replay() {
+                self.report.replayed += 1;
+                self.trace(endpoint, TraceKind::Replay, u64::from(sender));
+                self.host(i, round, sender, payload.clone());
+            }
+        }
     }
 }
 

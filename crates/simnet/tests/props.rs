@@ -7,14 +7,17 @@
 //! facade crate to route everything through simnet.
 
 use proptest::prelude::*;
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use referee_degeneracy::{DegeneracyProtocol, ForestProtocol, Reconstruction};
 use referee_graph::{generators, LabelledGraph};
 use referee_protocol::easy::EdgeCountProtocol;
 use referee_protocol::multiround::BoruvkaConnectivity;
+use referee_protocol::referee::assemble_from_arrivals;
+use referee_protocol::shard::placement::PlacementPolicy;
+use referee_protocol::Message;
 use referee_simnet::{
     FaultConfig, FaultyTransport, MultiRoundSession, OneRoundSession, PerfectTransport,
-    Scheduler,
+    PlacementSim, Scheduler,
 };
 
 fn gnp(n: usize, seed: u64, p10: u32) -> LabelledGraph {
@@ -219,6 +222,48 @@ proptest! {
         );
         prop_assert_eq!(mono.exchange_bits, 0);
         prop_assert_eq!(sharded.exchange_bits > 0, k > 1);
+    }
+}
+
+proptest! {
+    /// The placement twin under seeded host kills agrees with the
+    /// monolithic assembly: an `Ok` verdict bit for bit, an `Err` one in
+    /// its `DecodeError` class (the offender may differ). Default case
+    /// count, so `PROPTEST_CASES` widens it.
+    #[test]
+    fn placement_sim_matches_the_monolithic_verdict(
+        shape in (0usize..24, 1usize..=9, 1u32..=4),
+        seed in any::<u64>(),
+        kill_pct in 0u32..=100,
+        faults in (0usize..3, 0usize..3),
+    ) {
+        let ((n, k, hosts), (dropped, faults)) = (shape, faults);
+        // n nodes and k shards on `hosts` hosts. Every node speaks once
+        // but `dropped` random ones; then come `faults` identical and
+        // conflicting repeats and strays (0 or > n).
+        let mut rng = StdRng::seed_from_u64(seed);
+        let msg = |v: u32| Message::from_bits(v.to_be_bytes().to_vec(), 32).unwrap();
+        let mut arrivals: Vec<(u32, Message)> = (1..=n as u32).map(|v| (v, msg(v))).collect();
+        for _ in 0..dropped.min(n) {
+            arrivals.swap_remove(rng.gen_range(0..arrivals.len()));
+        }
+        for _ in 0..faults {
+            let v = rng.gen_range(1..=n.max(1) as u32);
+            let stray = n as u32 + rng.gen_range(1..4);
+            let pick = [(v, msg(v)), (v, msg(!v)), (0, msg(0)), (stray, msg(0))];
+            arrivals.push(pick[rng.gen_range(0..4)].clone());
+        }
+        let mono = assemble_from_arrivals(n, arrivals.iter().cloned());
+        let policy = PlacementPolicy::balanced(k, &(0..hosts).collect::<Vec<_>>());
+        let sim = PlacementSim::new(seed, f64::from(kill_pct) / 100.0);
+        let sim = sim.run(n, &policy, &arrivals);
+        match (&mono, &sim.verdict) {
+            (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
+            (Err(a), Err(b)) => {
+                prop_assert_eq!(std::mem::discriminant(a), std::mem::discriminant(b))
+            }
+            other => prop_assert!(false, "verdict shape diverged: {:?}", other),
+        }
     }
 }
 

@@ -12,9 +12,8 @@
 //! # Topology
 //!
 //! One **router** thread owns the listener and every client connection;
-//! `k` **shard workers** each own one
-//! `shard::RangeState` per session — shard `i`'s
-//! slice of the ID space. Per session:
+//! `k` **shard workers** each own one [`RangeState`] per session —
+//! shard `i`'s slice of the ID space. Per session:
 //!
 //! 1. the client announces `(session, n, service name)`
 //!    ([`Announce`](FrameKind::Announce)); the router resolves the name
@@ -62,16 +61,16 @@
 //! Faulty sessions fail **fast**: a duplicate or out-of-range sender
 //! poisons its round, and a repeat of an uplink whose range already
 //! shipped becomes a poison notice for that round (the rule lives in
-//! `shard::RangeState`), so worker 0 judges
-//! without waiting for ranges that may never fill. A range partial too
-//! large for the frame cap fails its session with a typed `Invalid`
-//! verdict. The fast verdict reports the first fault *detected* in the
-//! connection's FIFO arrival order, which may name a different offender
-//! than the fully-canonical protocol-layer verdict; the `Err`-vs-`Ok`
-//! shape is always identical. Tampered frames die at the router's MAC
-//! check, poisoning their connection, and a round cap on the server
-//! ([`WireReferee::round_cap`]) bounds referee state even against a
-//! client that stalls mid-protocol.
+//! `referee_protocol::shard::range`), so worker 0 judges without
+//! waiting for ranges that may never fill. A range partial too large
+//! for the frame cap fails its session with a typed `Invalid` verdict,
+//! on a shard host too. The fast verdict reports the first fault
+//! *detected* in the connection's FIFO arrival order, which may name a
+//! different offender than the fully-canonical protocol-layer verdict;
+//! the `Err`-vs-`Ok` shape is always identical. Tampered frames die at
+//! the router's MAC check, poisoning their connection, and a round cap
+//! on the server ([`WireReferee::round_cap`]) bounds referee state even
+//! against a client that stalls mid-protocol.
 
 use crate::auth::AuthKey;
 use crate::fleet::accept_conn;
@@ -80,10 +79,11 @@ use crate::metrics::{trace_endpoint, Stage, WireMetrics};
 use crate::placement::{run_proxy, ProxyConfig, RemotePlacement};
 use crate::poll::{fd_of, Poller, PollerBackend, Readiness, Waker};
 use crate::reactor::{Conn, SCRATCH_BYTES, WRITE_BACKPRESSURE_BYTES};
-use crate::shard::{build_evidence, Ingested, Proof, RangeState};
+use crate::shard::build_evidence;
 use referee_protocol::evidence::SessionParams;
 use referee_protocol::multiround::RefereeStep;
 use referee_protocol::shard::multiround::RoundPartialState;
+use referee_protocol::shard::range::{Ingested, Proof, RangeState};
 use referee_protocol::shard::{route_arrival, shard_range};
 use referee_protocol::trace::TraceKind;
 use referee_protocol::{BitWriter, DecodeError, Message};
@@ -188,6 +188,13 @@ pub(crate) fn decode_mr_verdict(msg: &Message) -> Result<Message, DecodeError> {
         return Err(DecodeError::Invalid("trailing bits after verdict class".into()));
     }
     Err(class_error(class))
+}
+
+/// `payload`, or past the frame cap the empty **oversize marker** (no
+/// partial encodes to it), which worker 0 turns into a typed `Invalid`
+/// verdict — whether a sibling worker or a shard host shipped it.
+pub(crate) fn fit_partial(payload: Message) -> Message {
+    Some(payload).filter(fits_frame).unwrap_or_else(Message::empty)
 }
 
 /// Router → worker (and worker → worker 0) traffic; sessions keyed by
@@ -863,7 +870,6 @@ impl Worker<'_> {
             self.evidence(session, ws, &proof, &env);
         }
         if let Some(notice) = notice {
-            // A poison notice is a few bits — never oversized.
             self.ship(session, ws.conn, ws.epoch, ws.referee.as_mut(), &notice, false);
         }
         if let Some(partial) = ws.range.as_mut().and_then(RangeState::take_ready) {
@@ -873,11 +879,7 @@ impl Worker<'_> {
                 TraceKind::PartialEmit,
                 u64::from(partial.round()),
             );
-            if !self.ship(session, ws.conn, ws.epoch, ws.referee.as_mut(), partial, true) {
-                let e = DecodeError::Invalid("shard partial exceeds the wire frame cap".into());
-                self.verdict(session, ws, Err(e));
-                return true;
-            }
+            self.ship(session, ws.conn, ws.epoch, ws.referee.as_mut(), partial, true);
         }
         self.advance(session, ws)
     }
@@ -887,8 +889,12 @@ impl Worker<'_> {
     fn partial(&self, session: u64, ws: &mut WorkerSession, env: &Envelope) -> bool {
         let referee = ws.referee.as_mut().expect("partials are addressed to worker 0");
         let quorum = env.round & 1 == 0;
-        let merged = RoundPartialState::decode(ws.n, &env.payload)
-            .and_then(|p| referee.absorb(p, quorum));
+        let merged = if env.payload.len_bits() == 0 {
+            Err(DecodeError::Invalid("shard partial exceeds the wire frame cap".into()))
+        } else {
+            RoundPartialState::decode(ws.n, &env.payload)
+                .and_then(|p| referee.absorb(p, quorum))
+        };
         match merged {
             Ok(true) => {
                 self.metrics.trace(
@@ -904,8 +910,8 @@ impl Worker<'_> {
                 false
             }
             Err(e) => {
-                // A partial that does not decode or merge fails the
-                // session closed.
+                // An oversize marker, or a partial that does not decode
+                // or merge, fails the session closed.
                 self.verdict(session, ws, Err(e));
                 true
             }
@@ -914,9 +920,8 @@ impl Worker<'_> {
 
     /// Route a partial toward the accumulator: worker 0 merges in place,
     /// everyone else ships a MAC'd [`FrameKind::Partial`] frame stamped
-    /// `(epoch << 1) | poison_bit` (see [`MrMsg::Partial`]). `false` if
-    /// the partial is too large for the frame cap — the caller fails the
-    /// session rather than panic a worker.
+    /// `(epoch << 1) | poison_bit` (see [`MrMsg::Partial`]) — past the
+    /// frame cap, the oversize marker ([`fit_partial`]).
     fn ship(
         &self,
         session: u64,
@@ -925,19 +930,16 @@ impl Worker<'_> {
         referee: Option<&mut Referee>,
         partial: &RoundPartialState,
         quorum: bool,
-    ) -> bool {
+    ) {
         if let Some(referee) = referee {
             match referee.absorb(partial.clone(), quorum) {
                 Ok(true) => {}
                 Ok(false) => self.metrics.orphan_frames(1),
                 Err(e) => unreachable!("same-n partials always merge: {e}"),
             }
-            return true;
+            return;
         }
-        let payload = partial.encode();
-        if !fits_frame(&payload) {
-            return false;
-        }
+        let payload = fit_partial(partial.encode());
         let env = Envelope {
             session: SessionId(session),
             round: (epoch << 1) | u32::from(!quorum),
@@ -954,7 +956,6 @@ impl Worker<'_> {
             FrameKind::Partial,
             &env,
         )));
-        true
     }
 
     /// Worker 0: step every round whose quorum is merged — or whose

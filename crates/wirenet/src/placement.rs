@@ -19,7 +19,7 @@
 //! * [`ShardHost`] is the remote worker role: it accepts coordinator
 //!   connections, each registered as one shard of a placement by a
 //!   MAC'd [`Register`](FrameKind::Register) handshake, ingests routed
-//!   uplinks into the same `shard::RangeState` the in-process workers drive
+//!   uplinks into the same [`RangeState`] the in-process workers drive
 //!   (every service, one-round included, under the round cap its
 //!   announce carries), and ships [`Partial`](FrameKind::Partial) frames
 //!   back over the same authenticated codec the rest of the system
@@ -69,10 +69,10 @@
 use crate::auth::AuthKey;
 use crate::frame::{encode_wire_frame, fits_frame, FrameKind, WireError};
 use crate::metrics::{trace_endpoint, Stage, WireMetrics, WireSnapshot};
-use crate::multiround::MrMsg;
+use crate::multiround::{fit_partial, MrMsg};
 use crate::reactor::{Conn, SCRATCH_BYTES, WRITE_BACKPRESSURE_BYTES};
-use crate::shard::{Ingested, RangeState};
 use referee_protocol::shard::multiround::RoundPartialState;
+use referee_protocol::shard::range::{Ingested, RangeState};
 use referee_protocol::shard::replay::{decode_resume, encode_resume, Recorded, ShardJournal};
 use referee_protocol::shard::shard_range;
 use referee_protocol::trace::{TraceKind, TraceSnapshot};
@@ -588,9 +588,9 @@ fn ship_trace(link: &mut HostLink, index: usize, metrics: &WireMetrics) {
 }
 
 /// Queue one `Partial` frame on a shard-host link, stamped `round` =
-/// `(epoch << 1) | poison_bit` (dropping payloads beyond the frame cap —
-/// the session then starves and the client's deadline rejects it, never
-/// a host panic).
+/// `(epoch << 1) | poison_bit`. A payload beyond the frame cap ships as
+/// the oversize marker ([`fit_partial`]), which the accumulator turns
+/// into a typed `Invalid` verdict.
 fn queue_partial(
     conn: &mut Conn,
     session: SessionId,
@@ -600,10 +600,7 @@ fn queue_partial(
     payload: Message,
     metrics: &WireMetrics,
 ) {
-    if !fits_frame(&payload) {
-        metrics.decode_rejects(1);
-        return;
-    }
+    let payload = fit_partial(payload);
     let env = Envelope { session, round, from: index as u32, to: cconn, payload };
     metrics.frames_sent(1);
     metrics.trace(

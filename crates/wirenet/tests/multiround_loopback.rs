@@ -12,7 +12,9 @@ use referee_protocol::multiround::{run_multiround, BoruvkaConnectivity};
 use referee_protocol::shard::replay::encode_resume;
 use referee_protocol::{BitWriter, DecodeError, Message};
 use referee_simnet::{Envelope, Scheduler, SessionId};
-use referee_wirenet::placement::{link_key, register_frame, shard_key};
+use referee_wirenet::placement::{
+    link_key, register_frame, shard_key, PlacementPolicy, RemotePlacement,
+};
 use referee_wirenet::{
     boruvka_connectivity_service, decode_bool_output, decode_frame, encode_frame,
     encode_wire_frame, AuthKey, FleetClient, FleetServer, FrameKind, ShardHost, TamperConfig,
@@ -376,7 +378,8 @@ fn await_verdict(
 /// with a typed `Invalid` verdict in multi-round sessions too, instead
 /// of starving until the client's verdict deadline: at n = 4, k = 2,
 /// nodes 3 and 4 (shard 1's whole range) each send ~0.6 MiB — every
-/// frame fits the cap, their range partial cannot.
+/// frame fits the cap, their range partial cannot. The same holds when
+/// the range lives on a remote shard host.
 #[test]
 fn oversize_range_partial_fails_fast_with_invalid() {
     let base = AuthKey::from_seed(58);
@@ -386,20 +389,32 @@ fn oversize_range_partial_fails_fast_with_invalid() {
     }
     let big = Message::from_writer(w);
 
-    let server =
-        FleetServer::spawn_multiround(base, 2, boruvka_connectivity_service()).unwrap();
-    let (mut link, _, key) = raw_client(&server, &base);
-    let session = SessionId(1);
-    link.send(&announce(&key, session, 4));
-    for from in [3, 4] {
-        let env = Envelope { session, round: 1, from, to: 0, payload: big.clone() };
-        link.send(&encode_frame(&key, &env));
+    // In process, and with the range on a shard host.
+    let hosts: Vec<ShardHost> = (0..2).map(|_| ShardHost::spawn(base).unwrap()).collect();
+    let placement = RemotePlacement::new(
+        PlacementPolicy::balanced(2, &[0, 1]),
+        hosts.iter().enumerate().map(|(i, h)| (i as u32, h.addr())),
+    )
+    .unwrap();
+    let remote = FleetServer::builder(base).placement(placement);
+    let servers = [
+        FleetServer::spawn_multiround(base, 2, boruvka_connectivity_service()).unwrap(),
+        remote.multiround(boruvka_connectivity_service()).spawn().unwrap(),
+    ];
+    for server in servers {
+        let (mut link, _, key) = raw_client(&server, &base);
+        let session = SessionId(1);
+        link.send(&announce(&key, session, 4));
+        for from in [3, 4] {
+            let env = Envelope { session, round: 1, from, to: 0, payload: big.clone() };
+            link.send(&encode_frame(&key, &env));
+        }
+        let (_, verdict) = await_verdict(&mut link, &key, Duration::from_secs(5));
+        let mut r = verdict.reader();
+        assert!(!r.read_bit().unwrap(), "an oversize range partial must reject");
+        assert_eq!(r.read_bits(2).unwrap(), 3, "the rejection must be typed Invalid");
+        assert_eq!(server.stop().verdict_frames, 1);
     }
-    let (_, verdict) = await_verdict(&mut link, &key, Duration::from_secs(5));
-    let mut r = verdict.reader();
-    assert!(!r.read_bit().unwrap(), "an oversize range partial must reject");
-    assert_eq!(r.read_bits(2).unwrap(), 3, "the rejection must be typed Invalid");
-    assert_eq!(server.stop().verdict_frames, 1);
 
     // The one-round verifier's client API sees the same prompt error.
     let server = FleetServer::spawn_sharded(base, 2).unwrap();
